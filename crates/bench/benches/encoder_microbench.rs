@@ -58,12 +58,6 @@ fn line_rate_ns(encoder: &dyn Encoder, cost: &dyn CostFunction, iters: usize) ->
     start.elapsed().as_nanos() as f64 / n as f64
 }
 
-/// VCC-256 (generated) `encode_line` ns/line measured on the pre-PR tree
-/// (scalar per-partition search, per-bit interleave, f64 accumulation) with
-/// exactly this workload — the acceptance baseline the broadcast path is
-/// compared against.
-const PRE_PR_VCC256_NS_PER_LINE: f64 = 38_300.0;
-
 /// The headline broadcast-vs-scalar comparison plus the JSON snapshot.
 fn headline(iters: usize) {
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
@@ -80,14 +74,12 @@ fn headline(iters: usize) {
     let mut body = String::new();
     let mut json = String::from("{\n  \"unit\": \"ns_per_512bit_line\",\n");
     let mut vcc256_speedup = 0.0f64;
-    let mut vcc256_vs_pre_pr = 0.0f64;
     for (name, encoder) in &rows {
         let fast_ns = line_rate_ns(encoder.as_ref(), &energy, iters);
         let scalar_ns = line_rate_ns(encoder.as_ref(), &scalar_energy, iters);
         let speedup = scalar_ns / fast_ns;
         if *name == "vcc256_generated" {
             vcc256_speedup = speedup;
-            vcc256_vs_pre_pr = PRE_PR_VCC256_NS_PER_LINE / fast_ns;
         }
         body.push_str(&format!(
             "{name:<18} broadcast {fast_ns:>9.0} ns/line  scalar {scalar_ns:>9.0} ns/line  \
@@ -100,15 +92,10 @@ fn headline(iters: usize) {
         ));
     }
     body.push_str(&format!(
-        "\nheadline: VCC-256 (generated) encode_line = {vcc256_vs_pre_pr:.2}x vs pre-PR baseline \
-         ({:.1} µs/line recorded), {vcc256_speedup:.2}x vs the in-tree scalar route\n\
-         (acceptance target: >= 3x vs the pre-PR baseline)",
-        PRE_PR_VCC256_NS_PER_LINE / 1_000.0,
+        "\nheadline: VCC-256 (generated) encode_line = {vcc256_speedup:.2}x vs the in-tree scalar route"
     ));
     json.push_str(&format!(
-        "  \"vcc256_generated_speedup_vs_scalar\": {vcc256_speedup:.2},\n  \
-         \"vcc256_generated_speedup_vs_pre_pr\": {vcc256_vs_pre_pr:.2},\n  \
-         \"pre_pr_vcc256_ns_per_line\": {PRE_PR_VCC256_NS_PER_LINE:.0}\n}}\n"
+        "  \"vcc256_generated_speedup_vs_scalar\": {vcc256_speedup:.2}\n}}\n"
     ));
     print_figure(
         "Encoder path — broadcast-SWAR coset search vs scalar oracle (512-bit lines, Table-I energy)",

@@ -57,9 +57,11 @@
 //! pipelines **per tenant** (each tenant keyed with its own
 //! [`mix_shard_seed`]-derived seed, see `service::tenant_seed`), with one
 //! worker per bank shard serving all tenants' queues round-robin.
-//! [`ShardedEngine::into_pipelines`] is the hand-off point; the per-tenant
-//! determinism contract documented in `docs/SERVICE.md` is this crate's
-//! contract applied tenant-by-tenant.
+//! Both frontends run on the same lane substrate, [`lanes`]: the service
+//! with one lane per tenant per shard, streaming replay with one lane per
+//! shard. [`ShardedEngine::into_pipelines`] is the hand-off point; the
+//! per-tenant determinism contract documented in `docs/SERVICE.md` is this
+//! crate's contract applied tenant-by-tenant.
 //!
 //! # When to reach for `ShardedEngine` vs plain `WritePipeline`
 //!
@@ -101,6 +103,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod lanes;
 pub mod stream;
 
 pub use stream::{StreamSummary, DEFAULT_STREAM_QUEUE_CAPACITY};

@@ -9,14 +9,18 @@
 //!   bit-identical across shard counts and to the sequential
 //!   `WritePipeline::stream_replay` reference;
 //! * the number of in-flight events never exceeds `shards ×
-//!   queue_capacity`, so peak memory is independent of stream length.
+//!   queue_capacity`, so peak memory is independent of stream length;
+//! * a source that panics mid-stream has its panic re-raised instead of
+//!   hanging the replay, with every event it produced before committed.
 
 use controller::{PipelineStats, WritePipeline};
 use coset::cost::opt_saw_then_energy;
 use coset::Vcc;
 use engine::{EngineConfig, ShardedEngine, StreamSummary};
 use pcm::{FaultMap, MemoryStats, PcmConfig};
-use workload::{BenchmarkProfile, Trace, ValueStyle, WorkloadSource};
+use workload::{
+    BenchmarkProfile, MemoryReader, Trace, TraceSource, ValueStyle, WorkloadSource, WriteBack,
+};
 
 fn pcm_config(seed: u64) -> PcmConfig {
     let mut cfg = PcmConfig::scaled(1 << 20, 1e3);
@@ -235,4 +239,74 @@ fn stream_replay_accumulates_across_calls() {
     materialized.replay_trace(&t);
     materialized.replay_trace(&t);
     assert_eq!(engine.memory_stats(), materialized.memory_stats());
+}
+
+/// Forwards the first `limit` events of `inner`, then either ends the
+/// stream or panics.
+struct CutAfter<S> {
+    inner: S,
+    limit: u64,
+    emitted: u64,
+    panic: bool,
+}
+
+impl<S: TraceSource> TraceSource for CutAfter<S> {
+    fn benchmark(&self) -> &str {
+        self.inner.benchmark()
+    }
+
+    fn next_event(&mut self, mem: &mut dyn MemoryReader) -> Option<WriteBack> {
+        if self.emitted == self.limit {
+            assert!(!self.panic, "source failed after {} events", self.limit);
+            return None;
+        }
+        self.emitted += 1;
+        self.inner.next_event(mem)
+    }
+}
+
+/// A source that panics mid-stream: the producer's lane closer drains the
+/// workers, the scope joins, and the source's panic reaches the caller
+/// instead of hanging the replay. Every event produced before the panic is
+/// committed, fills included, so the quiesced engine equals a sequential
+/// replay of exactly those events.
+#[test]
+fn panicking_source_is_reraised_after_the_workers_drain() {
+    let (seed, crypt_seed) = (0xFA11, 41);
+    let (accesses, limit) = (12_000, 2_000);
+    let cut = |panic| CutAfter {
+        inner: WorkloadSource::new(churn_profile(), accesses, seed),
+        limit,
+        emitted: 0,
+        panic,
+    };
+
+    let mut sequential = build_pipeline(seed, crypt_seed);
+    let mut prefix = cut(false);
+    sequential.stream_replay(&mut prefix);
+    assert_eq!(prefix.emitted, limit, "the workload must outlast the cut");
+
+    for shards in [1usize, 8] {
+        let mut engine = engine_with(shards, seed, crypt_seed);
+        let mut source = cut(true);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.stream_replay_with(&mut source, 16)
+        }));
+        let payload = outcome.expect_err("the source's panic must propagate");
+        assert_eq!(
+            engine::panic_message(payload),
+            format!("source failed after {limit} events")
+        );
+        assert!(engine.quarantined_shards().is_empty(), "no shard failed");
+        assert_eq!(
+            engine.stats(),
+            *sequential.stats(),
+            "{shards}-shard PipelineStats diverged from the sequential prefix"
+        );
+        assert_eq!(
+            engine.memory_stats(),
+            *sequential.memory_stats(),
+            "{shards}-shard MemoryStats diverged from the sequential prefix"
+        );
+    }
 }

@@ -16,8 +16,9 @@
 //! Each shard runs one worker thread owning the shard's state for *every*
 //! tenant; each tenant runs one producer thread pulling events from its
 //! source, batching them, and pushing them into bounded per-(shard, tenant)
-//! queue lanes. Workers serve lanes in round-robin order — one command per
-//! tenant per turn — so a flooding tenant cannot starve the others, and
+//! queue lanes (`engine::lanes`, the substrate the engine's streaming
+//! replay runs on too). Workers serve lanes in round-robin order — one
+//! command per tenant per turn — so a flooding tenant cannot starve the others, and
 //! producers block when their lane is full (backpressure bounded by
 //! `shards x tenants x queue_capacity` write events service-wide).
 //!
@@ -59,8 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-mod mailbox;
 
 pub mod control;
 pub mod loadgen;
