@@ -218,3 +218,136 @@ impl ShardedEngine {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use coset::Vcc;
+    use workload::WriteBack;
+
+    use super::*;
+    use crate::WritePipeline;
+
+    /// Runs `f` on a scoped thread and reports whether it panicked.
+    fn panics<F: FnOnce() + Send>(f: F) -> bool {
+        std::thread::scope(|scope| scope.spawn(f).join().is_err())
+    }
+
+    fn wb(line_addr: u64) -> WriteBack {
+        WriteBack {
+            line_addr,
+            data: [line_addr; 8],
+        }
+    }
+
+    #[test]
+    fn bounded_queue_backpressure_and_close() {
+        // A shard queue as the stream path runs it: one lane, one
+        // write-back per command, so the bound counts events and the pop
+        // order is FIFO.
+        let queues = [ShardMailbox::new(1, 2)];
+        let gauge = InFlightGauge::default();
+        queues[0].push(0, Cmd::Batch(vec![wb(0)]), &gauge);
+        queues[0].push(0, Cmd::Batch(vec![wb(64)]), &gauge);
+        assert_eq!(gauge.peak(), 2);
+        let mut cursor = 0;
+        let mut popped = Vec::new();
+        let mut pop = || match queues[0].pop_round_robin(&mut cursor, &gauge) {
+            Some((_, _, Cmd::Batch(batch))) => popped.extend(batch.iter().map(|w| w.line_addr)),
+            _ => panic!("expected a queued write-back"),
+        };
+        // A third push must block until a pop frees a slot.
+        std::thread::scope(|scope| {
+            scope.spawn(|| queues[0].push(0, Cmd::Batch(vec![wb(128)]), &gauge));
+            pop();
+        });
+        pop();
+        pop();
+        assert_eq!(popped, vec![0, 64, 128]);
+        // The producer's closer ends the stream: the worker's pop returns
+        // None once the queue is drained.
+        drop(LaneCloser {
+            mailboxes: &queues,
+            lane: 0,
+        });
+        assert!(queues[0].pop_round_robin(&mut cursor, &gauge).is_none());
+        // The peak never exceeded the capacity bound.
+        assert_eq!(gauge.peak(), 2);
+        assert_eq!(gauge.current(), 0);
+    }
+
+    #[test]
+    fn push_fails_fast_when_the_consumer_died() {
+        // A stream worker that dies outside `lanes::execute`'s supervision
+        // drops its guard while unwinding: a producer blocked on the full
+        // queue, and any later push, panics instead of waiting forever.
+        let queue = ShardMailbox::new(1, 1);
+        let (reply, gauge) = (ReplySlot::default(), InFlightGauge::default());
+        queue.push(0, Cmd::Batch(vec![wb(0)]), &gauge);
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let _guard = WorkerGuard {
+                    mailbox: &queue,
+                    replies: std::slice::from_ref(&reply),
+                };
+                panic!("shard worker died before draining its queue");
+            });
+            let blocked = panics(|| queue.push(0, Cmd::Batch(vec![wb(64)]), &gauge));
+            assert!(blocked, "push into a dead queue must fail fast");
+            assert!(worker.join().is_err());
+        });
+        let later = panics(|| queue.push(0, Cmd::Batch(vec![wb(128)]), &gauge));
+        assert!(later, "push into a dead queue must fail fast");
+    }
+
+    #[test]
+    fn reply_slot_round_trip_and_poison() {
+        // The fill router's rendezvous: the owning shard's worker answers a
+        // read through the reply slot — a written line as `Some` (counted
+        // as a memory fill), a never-written one as `None` — and a worker
+        // dying with a read pending poisons the slot so the producer fails
+        // fast.
+        let mut pipeline = WritePipeline::new(
+            PcmConfig::scaled(1 << 20, 1e6),
+            Box::new(Vcc::paper_mlc(64)),
+        );
+        pipeline.write_back(&wb(64));
+        let config = pipeline.memory().config().clone();
+        let queues = [ShardMailbox::new(1, 4)];
+        let (reply, gauge) = (ReplySlot::default(), InFlightGauge::default());
+        let mut reader = ShardedReader {
+            mailboxes: &queues,
+            reply: &reply,
+            gauge: &gauge,
+            config: &config,
+            memory_fills: 0,
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let (mut cursor, mut dead) = (0, false);
+                for _ in 0..2 {
+                    let (_, _, cmd) = queues[0].pop_round_robin(&mut cursor, &gauge).unwrap();
+                    lanes::execute(&mut pipeline, cmd, &mut dead, &reply);
+                }
+            });
+            assert_eq!(reader.read_line(64), Some([64; 8]));
+            assert_eq!(reader.read_line(1 << 16), None);
+        });
+        assert_eq!(reader.memory_fills, 1);
+
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let _guard = WorkerGuard {
+                    mailbox: &queues[0],
+                    replies: std::slice::from_ref(&reply),
+                };
+                let _pending = queues[0].pop_round_robin(&mut 0, &gauge);
+                panic!("shard worker died with a fill read pending");
+            });
+            let poisoned = panics(|| {
+                reader.read_line(64);
+            });
+            assert!(poisoned, "a fill read from a dead shard must fail fast");
+            assert!(worker.join().is_err());
+        });
+    }
+}
