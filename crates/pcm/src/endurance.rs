@@ -10,6 +10,10 @@
 
 use memcrypt::SplitMix64;
 
+/// Row-level share of endurance variance used with the paper's
+/// configurations: weak cells cluster moderately within a row.
+pub const PAPER_ROW_CORRELATION: f64 = 0.3;
+
 /// Deterministic sampler of per-cell endurance limits.
 #[derive(Debug, Clone, Copy)]
 pub struct EnduranceModel {
@@ -44,9 +48,10 @@ impl EnduranceModel {
         }
     }
 
-    /// The paper's default: CoV 0.2, moderate spatial correlation.
+    /// The paper's default: CoV 0.2, moderate spatial correlation
+    /// ([`PAPER_ROW_CORRELATION`]).
     pub fn paper_default(mean: f64, seed: u64) -> Self {
-        Self::new(mean, 0.2, 0.3, seed)
+        Self::new(mean, 0.2, PAPER_ROW_CORRELATION, seed)
     }
 
     /// Mean endurance in writes.
@@ -59,9 +64,27 @@ impl EnduranceModel {
     ///
     /// The lifetime is `mean · (1 + cov · z)` clamped to at least one write,
     /// where `z` mixes a row-level and a cell-level standard normal draw
-    /// according to the configured row correlation.
+    /// according to the configured row correlation. Equal, by definition, to
+    /// [`EnduranceModel::cell_limit_in_row`] over
+    /// [`EnduranceModel::row_deviate`].
     pub fn cell_limit(&self, row_addr: u64, cell_idx: usize) -> u64 {
-        let row_z = standard_normal(hash3(self.seed, row_addr, u64::MAX));
+        self.cell_limit_in_row(row_addr, self.row_deviate(row_addr), cell_idx)
+    }
+
+    /// The row-level standard normal deviate shared by every cell of row
+    /// `row_addr`. A row computes it once, when it is materialized, and
+    /// passes it to [`EnduranceModel::cell_limit_in_row`] for each cell.
+    pub fn row_deviate(&self, row_addr: u64) -> f64 {
+        standard_normal(hash3(self.seed, row_addr, u64::MAX))
+    }
+
+    /// The endurance limit of cell `cell_idx` in row `row_addr`, given that
+    /// row's deviate `row_z` from [`EnduranceModel::row_deviate`]. Only the
+    /// cell-level draw is computed here, with the same floating-point
+    /// operations in the same order as [`EnduranceModel::cell_limit`], so a
+    /// row can sample each cell's limit on the cell's first programming and
+    /// get the eager value bit for bit. The result is always at least 1.
+    pub fn cell_limit_in_row(&self, row_addr: u64, row_z: f64, cell_idx: usize) -> u64 {
         let cell_z = standard_normal(hash3(self.seed, row_addr, cell_idx as u64));
         let rho = self.row_correlation;
         let z = rho.sqrt() * row_z + (1.0 - rho).sqrt() * cell_z;

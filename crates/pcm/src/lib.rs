@@ -16,7 +16,7 @@
 //! data and auxiliary bits, and stuck-cell mask/value bit fields in which a
 //! stuck cell always covers all of its bits. Only wear counters and
 //! endurance limits remain per-cell arrays, because every cell carries an
-//! individual sampled limit.
+//! individual limit, sampled on the cell's first programming.
 //!
 //! Committing a word ([`Row::commit_word`], driven by
 //! [`PcmMemory::commit_line`] for whole cache lines) is SWAR-style

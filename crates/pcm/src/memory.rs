@@ -3,8 +3,10 @@
 //! [`PcmMemory`] models a byte-addressable PCM module at row (cache line)
 //! granularity. Rows are materialized lazily with pseudo-random initial
 //! contents (the paper initializes every address from a cryptographically
-//! strong generator), per-cell endurance limits are sampled on first touch,
-//! and every write goes through the read-modify-write encode path:
+//! strong generator), each cell's endurance limit is sampled on the cell's
+//! first programming (a row computes only its shared row deviate when it is
+//! materialized), and every write goes through the read-modify-write encode
+//! path:
 //!
 //! 1. read the current row contents and stuck-cell state,
 //! 2. let the configured [`Encoder`] pick the cheapest codeword,
@@ -29,10 +31,10 @@ use coset::{EncodeScratch, Encoded, Encoder, WriteContext};
 use memcrypt::{initial_row_contents, SplitMix64};
 
 use crate::config::PcmConfig;
-use crate::endurance::EnduranceModel;
+use crate::endurance::{EnduranceModel, PAPER_ROW_CORRELATION};
 use crate::energy::TransitionCosts;
 use crate::fault::FaultMap;
-use crate::row::Row;
+use crate::row::{CommitEnv, Row};
 use crate::stats::{LineWriteOutcome, MemoryStats, WordWriteOutcome};
 
 /// Reusable buffers for the encoded line/word write path.
@@ -79,14 +81,20 @@ impl std::fmt::Debug for PcmMemory {
 
 impl PcmMemory {
     /// Creates a memory with the given configuration and no pre-existing
-    /// faults (cells only fail through wear).
+    /// faults (cells only fail through wear). Cell endurance follows the
+    /// configured mean and CoV with the paper's row correlation.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent.
     pub fn new(config: PcmConfig) -> Self {
         config.validate();
-        let endurance = EnduranceModel::paper_default(config.endurance_mean, config.seed);
+        let endurance = EnduranceModel::new(
+            config.endurance_mean,
+            config.endurance_cov,
+            PAPER_ROW_CORRELATION,
+            config.seed,
+        );
         let energies = match config.cell_kind {
             CellKind::Mlc => TransitionEnergy::mlc_table_i(),
             CellKind::Slc => TransitionEnergy::slc_symmetric(),
@@ -198,12 +206,9 @@ impl PcmMemory {
         let fault_map = &self.fault_map;
         self.rows.entry(row_addr).or_insert_with(|| {
             let words = config.words_per_row();
-            let mut init = Vec::with_capacity(words);
             let raw = initial_row_contents(config.seed, row_addr);
-            for w in 0..words {
-                init.push(raw[w % raw.len()]);
-            }
-            let mut row = Row::new(config, endurance, row_addr, &init);
+            let init = (0..words).map(|w| raw[w % raw.len()]).collect();
+            let mut row = Row::new(config, endurance, row_addr, init);
             // Apply the pre-generated fault map: mapped cells are stuck and
             // the stored value reflects the frozen symbol.
             if let Some(map) = fault_map {
@@ -329,7 +334,11 @@ impl PcmMemory {
         desired_aux: u64,
         aux_bits: u32,
     ) -> WordWriteOutcome {
-        let costs = self.costs;
+        let env = CommitEnv {
+            costs: self.costs,
+            endurance: self.endurance,
+            row_addr,
+        };
         let aux_region_bits = self.aux_region_bits(aux_bits);
         let row = self.materialize(row_addr);
         let mut outcome = WordWriteOutcome::default();
@@ -338,7 +347,7 @@ impl PcmMemory {
             desired_data,
             desired_aux,
             aux_region_bits,
-            &costs,
+            &env,
             &mut outcome,
         );
         outcome
@@ -376,7 +385,11 @@ impl PcmMemory {
             self.config.aux_bits_per_word
         );
         self.stats.row_writes += 1;
-        let costs = self.costs;
+        let env = CommitEnv {
+            costs: self.costs,
+            endurance: self.endurance,
+            row_addr,
+        };
         let aux_region_bits = self.aux_region_bits(aux_bits);
         let row = self.materialize(row_addr);
         let mut words = Vec::with_capacity(encoded.len());
@@ -387,7 +400,7 @@ impl PcmMemory {
                 enc.codeword.as_u64(),
                 enc.aux,
                 aux_region_bits,
-                &costs,
+                &env,
                 &mut outcome,
             );
             words.push(outcome);
@@ -593,7 +606,9 @@ impl PcmMemory {
 
     /// The original cell-by-cell commit: walks every cell of the word,
     /// looks its transition up in the [`TransitionEnergy`] table (borrowed
-    /// once, not cloned) and accrues wear through [`Row::add_wear`].
+    /// once, not cloned) and accrues wear through [`Row::add_wear`], which
+    /// samples a cell's endurance limit on its first programming just as
+    /// the word-parallel commit does.
     fn commit_word_scalar(
         &mut self,
         row_addr: u64,
@@ -610,9 +625,11 @@ impl PcmMemory {
         let aux_cells_used = (aux_bits as usize).div_ceil(bpc);
 
         self.materialize(row_addr);
-        // Disjoint field borrows: the row mutably, the energy table shared.
+        // Disjoint field borrows: the row mutably, the energy table and the
+        // endurance model shared.
         let row = self.rows.get_mut(&row_addr).expect("just materialized");
         let energies = &self.energies;
+        let endurance = &self.endurance;
         let mut outcome = WordWriteOutcome::default();
 
         let old_data = row.data_word(w);
@@ -655,7 +672,7 @@ impl PcmMemory {
                     } else {
                         1
                     };
-                    if row.add_wear(cell, wear_units) {
+                    if row.add_wear(cell, wear_units, endurance, row_addr) {
                         outcome.new_dead_cells += 1;
                         // The final programming succeeds; the cell is then
                         // frozen at the value just written.
@@ -818,6 +835,28 @@ mod tests {
             fnw_high < unenc_high,
             "FNW should program fewer high-energy levels ({fnw_high} vs {unenc_high})"
         );
+    }
+
+    #[test]
+    fn configured_endurance_cov_reaches_the_model() {
+        // With no variation every cell's limit is the rounded mean, so every
+        // cell dies on exactly its sixth programming.
+        let mut cfg = PcmConfig::scaled(64 * 1024, 6.4);
+        cfg.endurance_cov = 0.0;
+        let mut mem = PcmMemory::new(cfg);
+        let enc = Unencoded::new(64);
+        let cf = WriteEnergy::mlc();
+        let mut rng = StdRng::seed_from_u64(65);
+        for _ in 0..40 {
+            let line: Vec<u64> = (0..8).map(|_| rng.gen()).collect();
+            mem.write_line(9, &line, &enc, &cf);
+        }
+        let row = mem.row(9).expect("written");
+        for c in 0..row.cells_per_word_total() * row.words() {
+            assert_eq!(row.limit(c, &mem.endurance, 9), 6, "cell {c}");
+            assert_eq!(row.is_stuck(c), row.wear(c) >= 6, "cell {c}");
+        }
+        assert!(mem.stats().dead_cells > 0);
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //! Only wear counters and endurance limits remain per-cell arrays (each
 //! cell has an individual limit), and [`Row::commit_word`] touches them
 //! only for the cells a write actually programs.
+//!
+//! A `limit` entry of 0 means "not sampled yet": limits are always at
+//! least 1, and a cell's limit is drawn the first time its wear is
+//! compared against it, from the row deviate the row keeps
+//! ([`EnduranceModel::row_deviate`], computed once at materialization) and
+//! the model and row address the caller passes in
+//! ([`EnduranceModel::cell_limit_in_row`]). The sampled value equals the
+//! eager [`EnduranceModel::cell_limit`] bit for bit, so sampling lazily
+//! changes no outcome; it only skips cells a row never programs.
 
 use coset::block::Block;
 use coset::symbol::CellKind;
@@ -40,6 +49,19 @@ fn low_mask(bits: usize) -> u64 {
     }
 }
 
+/// The memory-wide inputs of [`Row::commit_word`] besides the row itself:
+/// the per-class costs the commit charges, and where the row's endurance
+/// limits come from (the memory's model, keyed by this row's address).
+#[derive(Debug, Clone, Copy)]
+pub struct CommitEnv {
+    /// Per-class energy and wear costs of a programmed cell.
+    pub costs: TransitionCosts,
+    /// The model a cell's limit is sampled from on its first programming.
+    pub endurance: EnduranceModel,
+    /// Address of the row being committed.
+    pub row_addr: u64,
+}
+
 /// The mutable state of one memory row (cache line) and its cells.
 ///
 /// Cells are indexed row-locally: word `w` owns data cells
@@ -61,41 +83,41 @@ pub struct Row {
     stuck_aux_value: Vec<u64>,
     /// Programming events endured by each cell.
     wear: Vec<u64>,
-    /// Endurance limit of each cell.
+    /// Endurance limit of each cell; 0 until the cell's limit is sampled.
     limit: Vec<u64>,
+    /// The row-level endurance deviate shared by all of the row's cells.
+    row_z: f64,
     cells_per_word: usize,
     aux_cells_per_word: usize,
     bits_per_cell: usize,
 }
 
 impl Row {
-    /// Materializes a fresh row: data cells take `initial` contents, aux
-    /// cells start at zero, wear starts at zero, and every cell's endurance
-    /// limit is sampled from the endurance model.
+    /// Materializes a fresh row: data cells take the `initial` contents
+    /// (moved in, not copied), aux cells start at zero and wear starts at
+    /// zero. Only the row's endurance deviate is computed here; each cell's
+    /// limit is sampled from `endurance` on the cell's first programming.
     pub fn new(
         config: &PcmConfig,
         endurance: &EnduranceModel,
         row_addr: u64,
-        initial: &[u64],
+        initial: Vec<u64>,
     ) -> Self {
         let words = config.words_per_row();
         assert_eq!(initial.len(), words, "initial contents word count");
         let cpw = config.cells_per_word();
         let acw = config.aux_cells_per_word();
         let total_cells = (cpw + acw) * words;
-        let mut limit = Vec::with_capacity(total_cells);
-        for c in 0..total_cells {
-            limit.push(endurance.cell_limit(row_addr, c));
-        }
         Row {
-            data: initial.to_vec(),
+            data: initial,
             aux: vec![0u64; words],
             stuck_data_mask: vec![0u64; words],
             stuck_data_value: vec![0u64; words],
             stuck_aux_mask: vec![0u64; words],
             stuck_aux_value: vec![0u64; words],
             wear: vec![0u64; total_cells],
-            limit,
+            limit: vec![0u64; total_cells],
+            row_z: endurance.row_deviate(row_addr),
             cells_per_word: cpw,
             aux_cells_per_word: acw,
             bits_per_cell: config.cell_kind.bits_per_cell(),
@@ -233,17 +255,39 @@ impl Row {
         self.wear[cell]
     }
 
-    /// Endurance limit of a cell.
-    pub fn limit(&self, cell: usize) -> u64 {
+    /// Endurance limit of a cell of this row, which lives at `row_addr` in
+    /// a memory using `endurance`: the cached value once the cell has been
+    /// programmed, otherwise the value its first programming will sample.
+    pub fn limit(&self, cell: usize, endurance: &EnduranceModel, row_addr: u64) -> u64 {
+        match self.limit[cell] {
+            0 => endurance.cell_limit_in_row(row_addr, self.row_z, cell),
+            sampled => sampled,
+        }
+    }
+
+    /// A cell's endurance limit, sampled and cached on first use.
+    #[inline]
+    fn sampled_limit(&mut self, cell: usize, endurance: &EnduranceModel, row_addr: u64) -> u64 {
+        if self.limit[cell] == 0 {
+            self.limit[cell] = endurance.cell_limit_in_row(row_addr, self.row_z, cell);
+        }
         self.limit[cell]
     }
 
-    /// Adds `amount` programming events of wear to a cell. Returns `true`
-    /// if this pushed the cell past its endurance limit (the caller then
-    /// marks it stuck at its final value).
-    pub fn add_wear(&mut self, cell: usize, amount: u64) -> bool {
+    /// Adds `amount` programming events of wear to a cell of this row (at
+    /// `row_addr` in a memory using `endurance`). Returns `true` if this
+    /// pushed the cell past its endurance limit (the caller then marks it
+    /// stuck at its final value).
+    pub fn add_wear(
+        &mut self,
+        cell: usize,
+        amount: u64,
+        endurance: &EnduranceModel,
+        row_addr: u64,
+    ) -> bool {
         self.wear[cell] = self.wear[cell].saturating_add(amount);
-        self.wear[cell] >= self.limit[cell] && !self.is_stuck(cell)
+        let limit = self.sampled_limit(cell, endurance, row_addr);
+        self.wear[cell] >= limit && !self.is_stuck(cell)
     }
 
     /// Number of stuck cells in the whole row.
@@ -305,12 +349,12 @@ impl Row {
         desired_data: u64,
         desired_aux: u64,
         aux_region_bits: usize,
-        costs: &TransitionCosts,
+        env: &CommitEnv,
         outcome: &mut WordWriteOutcome,
     ) {
         let data_region_bits = self.cells_per_word * self.bits_per_cell;
-        self.commit_region(w, false, data_region_bits, desired_data, costs, outcome);
-        self.commit_region(w, true, aux_region_bits, desired_aux, costs, outcome);
+        self.commit_region(w, false, data_region_bits, desired_data, env, outcome);
+        self.commit_region(w, true, aux_region_bits, desired_aux, env, outcome);
     }
 
     /// SWAR-commits one region (data or auxiliary cells) of word `w`.
@@ -320,9 +364,10 @@ impl Row {
         aux: bool,
         region_bits: usize,
         desired: u64,
-        costs: &TransitionCosts,
+        env: &CommitEnv,
         outcome: &mut WordWriteOutcome,
     ) {
+        let costs = &env.costs;
         let bpc = self.bits_per_cell;
         let region = low_mask(region_bits);
         let (old, stuck_mask, stuck_value, base_cell) = if aux {
@@ -387,7 +432,8 @@ impl Row {
         }
 
         // Wear accounting for the programmed cells only, in ascending cell
-        // order (matching the scalar loop). A cell that exceeds its limit
+        // order (matching the scalar loop). A cell's limit is sampled the
+        // first time it is consulted here. A cell that exceeds its limit
         // still completes this final programming — it is frozen at the value
         // just written.
         let mut markers = programmed;
@@ -402,7 +448,7 @@ impl Row {
                 costs.wear_low
             };
             self.wear[cell] = self.wear[cell].saturating_add(units);
-            if self.wear[cell] >= self.limit[cell] {
+            if self.wear[cell] >= self.sampled_limit(cell, &env.endurance, env.row_addr) {
                 outcome.new_dead_cells += 1;
                 let shift = cell_offset * bpc;
                 let cell_mask = low_mask(bpc) << shift;
@@ -440,7 +486,7 @@ mod tests {
         let cfg = small_config();
         let end = EnduranceModel::paper_default(cfg.endurance_mean, cfg.seed);
         let init = vec![0xABCDu64; 8];
-        let row = Row::new(&cfg, &end, 0, &init);
+        let row = Row::new(&cfg, &end, 0, init);
         assert_eq!(row.words(), 8);
         assert_eq!(row.cells_per_word_total(), 36);
         assert_eq!(row.first_cell_of_word(1), 36);
@@ -451,14 +497,14 @@ mod tests {
         assert_eq!(row.data_cells_per_word(), 32);
         assert_eq!(row.aux_cells_per_word(), 4);
         assert_eq!(row.bits_per_cell(), 2);
-        assert!(row.limit(0) > 0);
+        assert!(row.limit(0, &end, 0) > 0);
     }
 
     #[test]
     fn store_and_read_back() {
         let cfg = small_config();
         let end = EnduranceModel::paper_default(cfg.endurance_mean, cfg.seed);
-        let mut row = Row::new(&cfg, &end, 1, &[0u64; 8]);
+        let mut row = Row::new(&cfg, &end, 1, vec![0u64; 8]);
         row.store_word(2, 0xDEADBEEF, 0x3F);
         assert_eq!(row.data_word(2), 0xDEADBEEF);
         assert_eq!(row.aux_word(2), 0x3F);
@@ -469,11 +515,11 @@ mod tests {
     fn wear_accumulates_and_triggers_failure() {
         let cfg = small_config();
         let end = EnduranceModel::paper_default(cfg.endurance_mean, cfg.seed);
-        let mut row = Row::new(&cfg, &end, 2, &[0u64; 8]);
-        let limit = row.limit(5);
+        let mut row = Row::new(&cfg, &end, 2, vec![0u64; 8]);
+        let limit = row.limit(5, &end, 2);
         let mut failed = false;
         for _ in 0..limit {
-            failed = row.add_wear(5, 1);
+            failed = row.add_wear(5, 1, &end, 2);
             if failed {
                 break;
             }
@@ -484,14 +530,14 @@ mod tests {
         assert!(row.is_stuck(5));
         assert_eq!(row.stuck_symbol(5), 0b10);
         // Further wear does not re-trigger the failure edge.
-        assert!(!row.add_wear(5, 1));
+        assert!(!row.add_wear(5, 1, &end, 2));
     }
 
     #[test]
     fn stuck_bits_views() {
         let cfg = small_config();
         let end = EnduranceModel::paper_default(cfg.endurance_mean, cfg.seed);
-        let mut row = Row::new(&cfg, &end, 3, &[0u64; 8]);
+        let mut row = Row::new(&cfg, &end, 3, vec![0u64; 8]);
         // Stick data cell 4 of word 1 and aux cell 0 of word 1.
         let data_cell = row.first_cell_of_word(1) + 4;
         let aux_cell = row.first_aux_cell_of_word(1);
@@ -515,7 +561,7 @@ mod tests {
     fn freeze_stuck_values_forces_stored_bits() {
         let cfg = small_config();
         let end = EnduranceModel::paper_default(cfg.endurance_mean, cfg.seed);
-        let mut row = Row::new(&cfg, &end, 4, &[u64::MAX; 8]);
+        let mut row = Row::new(&cfg, &end, 4, vec![u64::MAX; 8]);
         row.stick_cell(0, 0b00); // data cell 0 of word 0
         let aux_cell = row.first_aux_cell_of_word(0);
         row.stick_cell(aux_cell, 0b10);
@@ -531,14 +577,19 @@ mod tests {
     fn commit_word_programs_classes_and_masks_stuck_cells() {
         let cfg = small_config();
         let end = EnduranceModel::paper_default(cfg.endurance_mean, cfg.seed);
-        let mut row = Row::new(&cfg, &end, 5, &[0u64; 8]);
+        let mut row = Row::new(&cfg, &end, 5, vec![0u64; 8]);
         let costs = TransitionCosts::new(CellKind::Mlc, false);
+        let env = CommitEnv {
+            costs,
+            endurance: end,
+            row_addr: 5,
+        };
         // Stick data cell 1 of word 0 at 0b11; write wants 0b00 there → SAW.
         row.stick_cell(1, 0b11);
         let mut outcome = WordWriteOutcome::default();
         // Cell 0: 00→10 (low class); cell 1: stuck; cell 2: 00→01 (high).
         let desired = 0b01_00_10u64;
-        row.commit_word(0, desired, 0b0, 0, &costs, &mut outcome);
+        row.commit_word(0, desired, 0b0, 0, &env, &mut outcome);
         assert_eq!(outcome.cells_programmed, 2);
         assert_eq!(outcome.high_energy_programs, 1);
         assert_eq!(outcome.saw_cells, 1);
@@ -558,15 +609,20 @@ mod tests {
     fn commit_word_kills_cells_at_their_limit_and_freezes_them() {
         let cfg = small_config();
         let end = EnduranceModel::new(4.0, 0.0, 0.0, 1);
-        let mut row = Row::new(&cfg, &end, 6, &[0u64; 8]);
+        let mut row = Row::new(&cfg, &end, 6, vec![0u64; 8]);
         let costs = TransitionCosts::new(CellKind::Mlc, false);
-        let limit = row.limit(0);
+        let env = CommitEnv {
+            costs,
+            endurance: end,
+            row_addr: 6,
+        };
+        let limit = row.limit(0, &end, 6);
         let mut deaths = 0;
         // Alternate cell 0 between symbols until it dies.
         for i in 0..2 * limit {
             let mut outcome = WordWriteOutcome::default();
             let desired = if i % 2 == 0 { 0b10 } else { 0b00 };
-            row.commit_word(0, desired, 0, 0, &costs, &mut outcome);
+            row.commit_word(0, desired, 0, 0, &env, &mut outcome);
             deaths += outcome.new_dead_cells;
             if row.is_stuck(0) {
                 break;
@@ -580,7 +636,7 @@ mod tests {
         // Further writes to the dead cell are SAW, not programming.
         let frozen = row.stuck_symbol(0);
         let mut outcome = WordWriteOutcome::default();
-        row.commit_word(0, (frozen ^ 0b10) as u64, 0, 0, &costs, &mut outcome);
+        row.commit_word(0, (frozen ^ 0b10) as u64, 0, 0, &env, &mut outcome);
         assert_eq!(outcome.saw_cells, 1);
         assert_eq!(outcome.cells_programmed, 0);
     }
@@ -589,19 +645,48 @@ mod tests {
     fn commit_word_aux_region_is_bounded() {
         let cfg = small_config();
         let end = EnduranceModel::paper_default(cfg.endurance_mean, cfg.seed);
-        let mut row = Row::new(&cfg, &end, 7, &[0u64; 8]);
+        let mut row = Row::new(&cfg, &end, 7, vec![0u64; 8]);
         let costs = TransitionCosts::new(CellKind::Mlc, false);
+        let env = CommitEnv {
+            costs,
+            endurance: end,
+            row_addr: 7,
+        };
         let mut outcome = WordWriteOutcome::default();
         // Only 4 aux bits (2 cells) in the region: bits above must not be
         // programmed even though desired_aux sets them.
-        row.commit_word(0, 0, u64::MAX, 4, &costs, &mut outcome);
+        row.commit_word(0, 0, u64::MAX, 4, &env, &mut outcome);
         assert_eq!(row.aux_word(0), 0b1111);
         assert_eq!(outcome.cells_programmed, 2);
         // Zero-width aux region is a no-op.
         let mut o2 = WordWriteOutcome::default();
-        row.commit_word(1, 0, u64::MAX, 0, &costs, &mut o2);
+        row.commit_word(1, 0, u64::MAX, 0, &env, &mut o2);
         assert_eq!(row.aux_word(1), 0);
         assert_eq!(o2.cells_programmed, 0);
+    }
+
+    #[test]
+    fn limits_are_sampled_on_first_programming_with_eager_values() {
+        let cfg = small_config();
+        let end = EnduranceModel::paper_default(cfg.endurance_mean, cfg.seed);
+        let mut row = Row::new(&cfg, &end, 8, vec![0u64; 8]);
+        let costs = TransitionCosts::new(CellKind::Mlc, false);
+        let env = CommitEnv {
+            costs,
+            endurance: end,
+            row_addr: 8,
+        };
+        let cells = row.cells_per_word_total() * row.words();
+        assert!(row.limit.iter().all(|&l| l == 0), "nothing sampled yet");
+        // Program data cells 0 and 2 of word 0; cell 1 keeps its symbol.
+        let mut outcome = WordWriteOutcome::default();
+        row.commit_word(0, 0b10_00_10, 0, 0, &env, &mut outcome);
+        let sampled: Vec<usize> = (0..cells).filter(|&c| row.limit[c] != 0).collect();
+        assert_eq!(sampled, vec![0, 2]);
+        // The accessor reports the eager value, sampled or not.
+        for c in 0..cells {
+            assert_eq!(row.limit(c, &end, 8), end.cell_limit(8, c));
+        }
     }
 
     #[test]
