@@ -44,7 +44,8 @@
 //! memory is `shards × queue capacity` in-flight events regardless of
 //! stream length, and cache-miss fills are serviced from the modeled
 //! memory itself ([`controller::WritePipeline::read_line`], decode +
-//! decrypt) so the cache re-reads the bytes the array actually stores.
+//! decrypt), on the producer's own thread behind the shard's queued
+//! writes, so the cache re-reads the bytes the array actually stores.
 //! The determinism contract extends unchanged: under unified keying a
 //! streamed N-shard replay is bit-identical to the sequential
 //! [`controller::WritePipeline::stream_replay`] and, for materialized

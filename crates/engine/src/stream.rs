@@ -17,21 +17,23 @@
 //! # Memory-backed fills
 //!
 //! The producer hands the source a [`MemoryReader`] that resolves
-//! cache-miss fills against the *modeled memory itself*: a fill for line
-//! `L` is enqueued as a read command on the shard owning `L`'s row, the
-//! worker services it in queue order through
-//! [`controller::WritePipeline::read_line`] (decode + decrypt), and the
-//! producer blocks until the answer arrives. Because the read command sits
-//! behind every earlier write to that shard, the fill always observes
-//! exactly the memory state a sequential replay would have produced at
-//! that point in the stream.
+//! cache-miss fills against the *modeled memory itself*, on the producer's
+//! own thread: a fill for line `L` locks the [`lanes::Cell`] of the shard
+//! owning `L`'s row, runs every write still queued for that shard (in
+//! queue order, under the same supervision the worker uses), and then
+//! reads `L` through [`controller::WritePipeline::read_line`] (decode +
+//! decrypt). Because the read runs behind every earlier write to that
+//! shard, the fill always observes exactly the memory state a sequential
+//! replay would have produced at that point in the stream — without a
+//! cross-thread round trip.
 //!
 //! # Determinism
 //!
 //! The per-shard command sequences are fixed by the producer's sequential
-//! loop — worker scheduling can only change *when* a command runs, never
-//! *which state* it sees (shards own disjoint rows; reads synchronize
-//! through the queue). Under [`crate::ShardKeying::Unified`] the merged
+//! loop — worker scheduling can only change *when* and *on which thread* a
+//! command runs, never *which state* it sees (shards own disjoint rows;
+//! every command of a shard runs under its cell lock in queue order).
+//! Under [`crate::ShardKeying::Unified`] the merged
 //! statistics of an N-shard streaming replay are therefore bit-identical
 //! to a 1-shard run, to [`ShardedEngine::replay_trace`] over the
 //! materialized trace, and to a sequential
@@ -41,14 +43,17 @@
 //!
 //! Unlike the materialized [`ShardedEngine::replay_trace`], streaming
 //! spawns **one worker per shard** regardless of the configured thread
-//! cap: a fill read can only be serviced by the worker owning that shard,
-//! so sharing workers across shards would let a busy neighbour delay —
-//! though never deadlock or reorder — another shard's reads.
+//! cap: each shard's mailbox has exactly one consumer, so a worker shared
+//! across shards would have to poll several mailboxes, and a busy
+//! neighbour would hold back — though never reorder — another shard's
+//! writes and, with them, the producer's backpressure.
+
+use std::sync::{Mutex, PoisonError};
 
 use pcm::PcmConfig;
 use workload::{LineData, MemoryReader, TraceSource};
 
-use crate::lanes::{self, Cmd, InFlightGauge, LaneCloser, ReplySlot, ShardMailbox, WorkerGuard};
+use crate::lanes::{self, Cell, InFlightGauge, LaneCloser, ShardMailbox, WorkerGuard};
 use crate::ShardedEngine;
 
 /// Default bound on each shard's in-flight event queue (events, not bytes;
@@ -91,28 +96,31 @@ pub struct StreamSummary {
     pub shards_quarantined: u32,
 }
 
-/// The [`MemoryReader`] the producer hands the source: routes each fill
-/// read through the owning shard's lane and waits for the worker's answer.
-struct ShardedReader<'a> {
+/// The [`MemoryReader`] the producer hands the source: runs each fill on
+/// the calling thread, in the owning shard's cell, behind every write
+/// still queued for that shard.
+struct ShardedReader<'a, 'p> {
     mailboxes: &'a [ShardMailbox],
-    reply: &'a ReplySlot,
+    /// One cell per shard (each shard's mailbox has a single lane).
+    cells: &'a [Mutex<Cell<'p>>],
     gauge: &'a InFlightGauge,
     config: &'a PcmConfig,
     memory_fills: u64,
 }
 
-impl ShardedReader<'_> {
+impl ShardedReader<'_, '_> {
     /// The shard owning a line address (`row % shards`).
     fn shard_of(&self, line_addr: u64) -> usize {
         (self.config.row_of_byte_addr(line_addr) % self.mailboxes.len() as u64) as usize
     }
 }
 
-impl MemoryReader for ShardedReader<'_> {
+impl MemoryReader for ShardedReader<'_, '_> {
     // PANIC-OK: the shard index is row % shard-count, in bounds by construction.
     fn read_line(&mut self, line_addr: u64) -> Option<LineData> {
-        self.mailboxes[self.shard_of(line_addr)].push(0, Cmd::Read(line_addr), self.gauge);
-        let answer = self.reply.take();
+        let s = self.shard_of(line_addr);
+        let (mut cell, _) = self.mailboxes[s].drain_lane(0, &self.cells[s], self.gauge);
+        let answer = lanes::read(&mut cell, line_addr);
         if answer.is_some() {
             self.memory_fills += 1;
         }
@@ -136,7 +144,6 @@ impl ShardedEngine {
     /// # Panics
     ///
     /// Panics if `queue_capacity` is zero.
-    // PANIC-OK: `shards[0]` exists by construction and the routed shard index is row % shard-count, in bounds of the per-shard mailboxes; the supervised jobs are the closures, not this driver.
     pub fn stream_replay_with(
         &mut self,
         source: &mut dyn TraceSource,
@@ -149,30 +156,25 @@ impl ShardedEngine {
         let mailboxes: Vec<ShardMailbox> = (0..self.config.shards)
             .map(|_| ShardMailbox::new(1, queue_capacity))
             .collect();
-        let reply = ReplySlot::default();
+        // One cell per shard: the shard's pipeline and quarantine record,
+        // shared by its worker and the producer's fills.
+        let cells: Vec<Mutex<Cell<'_>>> = self
+            .shards
+            .iter_mut()
+            .zip(&self.quarantined)
+            .map(|(pipeline, &dead)| Mutex::new(Cell::new(pipeline, dead)))
+            .collect();
         let gauge = InFlightGauge::default();
         let mut events = 0u64;
         let mut memory_fills = 0u64;
-        // Writes each shard discarded while quarantined.
-        let mut discarded = vec![0u64; self.config.shards];
         std::thread::scope(|scope| {
-            // Each worker supervises its shard in place: a caught panic sets
-            // the shard's quarantine flag and failure message directly.
-            let health = self.quarantined.iter_mut().zip(&mut self.failures);
-            let shards = self.shards.iter_mut().zip(&mailboxes).zip(health);
-            for (((pipeline, mailbox), (dead, failure)), dropped) in shards.zip(&mut discarded) {
-                let (reply, gauge) = (&reply, &gauge);
+            for (mailbox, cell) in mailboxes.iter().zip(&cells) {
+                let gauge = &gauge;
                 scope.spawn(move || {
-                    let replies = std::slice::from_ref(reply);
-                    let _guard = WorkerGuard { mailbox, replies };
+                    let _guard = WorkerGuard { mailbox };
+                    let cells = std::slice::from_ref(cell);
                     let mut cursor = 0;
-                    while let Some((_, _, cmd)) = mailbox.pop_round_robin(&mut cursor, gauge) {
-                        let done = lanes::execute(pipeline, cmd, dead, reply);
-                        if let Some(message) = done.failure {
-                            *failure = Some(message);
-                        }
-                        *dropped += done.discarded;
-                    }
+                    while mailbox.serve_next(&mut cursor, cells, gauge).is_some() {}
                 });
             }
 
@@ -185,19 +187,28 @@ impl ShardedEngine {
             };
             let mut reader = ShardedReader {
                 mailboxes: &mailboxes,
-                reply: &reply,
+                cells: &cells,
                 gauge: &gauge,
                 config: &mem_config,
                 memory_fills: 0,
             };
             while let Some(wb) = source.next_event(&mut reader) {
                 let shard = reader.shard_of(wb.line_addr);
-                mailboxes[shard].push(0, Cmd::Batch(vec![wb]), &gauge);
+                mailboxes[shard].push(0, vec![wb], &gauge);
                 events += 1;
             }
             memory_fills = reader.memory_fills;
         });
-        let events_discarded = discarded.iter().sum();
+        // Each cell hands its quarantine record back to its shard.
+        let mut events_discarded = 0;
+        for (i, cell) in cells.into_iter().enumerate() {
+            let cell = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
+            self.quarantined[i] = cell.dead;
+            if cell.failure.is_some() {
+                self.failures[i] = cell.failure;
+            }
+            events_discarded += cell.discarded;
+        }
         self.discarded_events += events_discarded;
 
         // The latency percentiles come off the quiesced shards' merged
@@ -225,7 +236,7 @@ mod tests {
     use workload::WriteBack;
 
     use super::*;
-    use crate::WritePipeline;
+    use crate::{relock, WritePipeline};
 
     /// Runs `f` on a scoped thread and reports whether it panicked.
     fn panics<F: FnOnce() + Send>(f: F) -> bool {
@@ -239,37 +250,51 @@ mod tests {
         }
     }
 
+    fn pipeline() -> WritePipeline {
+        WritePipeline::new(
+            PcmConfig::scaled(1 << 20, 1e6),
+            Box::new(Vcc::paper_mlc(64)),
+        )
+    }
+
     #[test]
     fn bounded_queue_backpressure_and_close() {
         // A shard queue as the stream path runs it: one lane, one
-        // write-back per command, so the bound counts events and the pop
-        // order is FIFO.
+        // write-back per command, so the bound counts events and the worker
+        // serves the lane in FIFO order.
         let queues = [ShardMailbox::new(1, 2)];
         let gauge = InFlightGauge::default();
-        queues[0].push(0, Cmd::Batch(vec![wb(0)]), &gauge);
-        queues[0].push(0, Cmd::Batch(vec![wb(64)]), &gauge);
+        let mut shard = pipeline();
+        let cells = [Mutex::new(Cell::new(&mut shard, false))];
+        queues[0].push(0, vec![wb(0)], &gauge);
+        queues[0].push(0, vec![wb(64)], &gauge);
         assert_eq!(gauge.peak(), 2);
         let mut cursor = 0;
-        let mut popped = Vec::new();
-        let mut pop = || match queues[0].pop_round_robin(&mut cursor, &gauge) {
-            Some((_, _, Cmd::Batch(batch))) => popped.extend(batch.iter().map(|w| w.line_addr)),
-            _ => panic!("expected a queued write-back"),
+        let mut served = Vec::new();
+        let mut serve = || {
+            let mut turn = queues[0].serve_next(&mut cursor, &cells, &gauge).unwrap();
+            // The write just served is the newest line the shard holds.
+            let newest = [0, 64, 128]
+                .into_iter()
+                .filter(|&addr| lanes::read(&mut turn.cell, addr).is_some())
+                .max();
+            served.push(newest.unwrap());
         };
         // A third push must block until a pop frees a slot.
         std::thread::scope(|scope| {
-            scope.spawn(|| queues[0].push(0, Cmd::Batch(vec![wb(128)]), &gauge));
-            pop();
+            scope.spawn(|| queues[0].push(0, vec![wb(128)], &gauge));
+            serve();
         });
-        pop();
-        pop();
-        assert_eq!(popped, vec![0, 64, 128]);
-        // The producer's closer ends the stream: the worker's pop returns
+        serve();
+        serve();
+        assert_eq!(served, vec![0, 64, 128]);
+        // The producer's closer ends the stream: the worker's turn returns
         // None once the queue is drained.
         drop(LaneCloser {
             mailboxes: &queues,
             lane: 0,
         });
-        assert!(queues[0].pop_round_robin(&mut cursor, &gauge).is_none());
+        assert!(queues[0].serve_next(&mut cursor, &cells, &gauge).is_none());
         // The peak never exceeded the capacity bound.
         assert_eq!(gauge.peak(), 2);
         assert_eq!(gauge.current(), 0);
@@ -281,73 +306,81 @@ mod tests {
         // drops its guard while unwinding: a producer blocked on the full
         // queue, and any later push, panics instead of waiting forever.
         let queue = ShardMailbox::new(1, 1);
-        let (reply, gauge) = (ReplySlot::default(), InFlightGauge::default());
-        queue.push(0, Cmd::Batch(vec![wb(0)]), &gauge);
+        let gauge = InFlightGauge::default();
+        queue.push(0, vec![wb(0)], &gauge);
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| {
-                let _guard = WorkerGuard {
-                    mailbox: &queue,
-                    replies: std::slice::from_ref(&reply),
-                };
+                let _guard = WorkerGuard { mailbox: &queue };
                 panic!("shard worker died before draining its queue");
             });
-            let blocked = panics(|| queue.push(0, Cmd::Batch(vec![wb(64)]), &gauge));
+            let blocked = panics(|| queue.push(0, vec![wb(64)], &gauge));
             assert!(blocked, "push into a dead queue must fail fast");
             assert!(worker.join().is_err());
         });
-        let later = panics(|| queue.push(0, Cmd::Batch(vec![wb(128)]), &gauge));
+        let later = panics(|| queue.push(0, vec![wb(128)], &gauge));
         assert!(later, "push into a dead queue must fail fast");
     }
 
     #[test]
     fn reply_slot_round_trip_and_poison() {
-        // The fill router's rendezvous: the owning shard's worker answers a
-        // read through the reply slot — a written line as `Some` (counted
-        // as a memory fill), a never-written one as `None` — and a worker
-        // dying with a read pending poisons the slot so the producer fails
-        // fast.
-        let mut pipeline = WritePipeline::new(
-            PcmConfig::scaled(1 << 20, 1e6),
-            Box::new(Vcc::paper_mlc(64)),
-        );
-        pipeline.write_back(&wb(64));
-        let config = pipeline.memory().config().clone();
-        let queues = [ShardMailbox::new(1, 4)];
-        let (reply, gauge) = (ReplySlot::default(), InFlightGauge::default());
+        // The fill router runs each fill on the producer's thread, in the
+        // owning shard's cell: a written line answers `Some` (counted as a
+        // memory fill), a never-written one `None`, a quarantined shard
+        // `None`, and a worker dying while it holds the cell does not hang
+        // the fill.
+        let (mut healthy, mut sick) = (pipeline(), pipeline());
+        let config = healthy.memory().config().clone();
+        let shard_of = |addr: u64| config.row_of_byte_addr(addr) % 2;
+        let line_on = |shard: u64, nth: usize| {
+            (0..)
+                .map(|i| i * 64)
+                .filter(|&addr| shard_of(addr) == shard)
+                .nth(nth)
+                .expect("both shards own lines")
+        };
+        let (written, queued, fresh) = (line_on(0, 0), line_on(0, 1), line_on(0, 2));
+        let sick_line = line_on(1, 0);
+        healthy.write_back(&wb(written));
+        sick.write_back(&wb(sick_line));
+        let queues = [ShardMailbox::new(1, 4), ShardMailbox::new(1, 4)];
+        let cells = [
+            Mutex::new(Cell::new(&mut healthy, false)),
+            Mutex::new(Cell::new(&mut sick, true)),
+        ];
+        let gauge = InFlightGauge::default();
         let mut reader = ShardedReader {
             mailboxes: &queues,
-            reply: &reply,
+            cells: &cells,
             gauge: &gauge,
             config: &config,
             memory_fills: 0,
         };
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let (mut cursor, mut dead) = (0, false);
-                for _ in 0..2 {
-                    let (_, _, cmd) = queues[0].pop_round_robin(&mut cursor, &gauge).unwrap();
-                    lanes::execute(&mut pipeline, cmd, &mut dead, &reply);
-                }
-            });
-            assert_eq!(reader.read_line(64), Some([64; 8]));
-            assert_eq!(reader.read_line(1 << 16), None);
-        });
-        assert_eq!(reader.memory_fills, 1);
+        queues[0].push(0, vec![wb(queued)], &gauge);
+        assert_eq!(reader.read_line(written), Some([written; 8]));
+        assert_eq!(
+            reader.read_line(queued),
+            Some([queued; 8]),
+            "the queued write ran first"
+        );
+        assert_eq!(reader.read_line(fresh), None);
+        assert_eq!(reader.read_line(sick_line), None, "quarantined shard");
+        assert_eq!(reader.memory_fills, 2);
+        assert_eq!(gauge.current(), 0);
 
+        let (held, released) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| {
                 let _guard = WorkerGuard {
                     mailbox: &queues[0],
-                    replies: std::slice::from_ref(&reply),
                 };
-                let _pending = queues[0].pop_round_robin(&mut 0, &gauge);
-                panic!("shard worker died with a fill read pending");
+                let _cell = relock(&cells[0]);
+                held.send(()).unwrap();
+                panic!("shard worker died holding its cell");
             });
-            let poisoned = panics(|| {
-                reader.read_line(64);
-            });
-            assert!(poisoned, "a fill read from a dead shard must fail fast");
+            released.recv().unwrap();
+            assert_eq!(reader.read_line(written), Some([written; 8]));
             assert!(worker.join().is_err());
         });
+        assert_eq!(reader.memory_fills, 3);
     }
 }

@@ -8,7 +8,8 @@
 //!   histograms and fault logs all compared with exact equality.
 //! * **Process faults** (injected worker panics) quarantine one shard
 //!   without killing the process or perturbing the other shards, under the
-//!   accounting invariant `admitted == executed + discarded`.
+//!   accounting invariant `admitted == executed + discarded` — also when
+//!   the panicking write is run by a fill on the producer's thread.
 //! * An **empty plan** leaves every statistic bit-identical to a build with
 //!   no injector attached at all (the golden-safety guarantee).
 
@@ -19,7 +20,10 @@ use engine::{EngineConfig, ShardedEngine};
 use faultsim::{FaultLog, FaultPlan};
 use pcm::PcmConfig;
 use proptest::prelude::*;
-use workload::Trace;
+use workload::{
+    BenchmarkProfile, LineData, MemoryReader, Trace, TraceSource, ValueStyle, WorkloadSource,
+    WriteBack,
+};
 
 fn pcm_config(seed: u64) -> PcmConfig {
     let mut cfg = PcmConfig::scaled(1 << 20, 1e3);
@@ -189,6 +193,149 @@ fn stream_replay_survives_mid_stream_worker_death() {
         assert_eq!(
             engine.quarantined_shards(),
             vec![(victim_row % shards as u64) as usize]
+        );
+    }
+}
+
+/// One step of a streamed workload: a write-back, or a cache-miss fill
+/// with the answer it got.
+enum Step {
+    Write(WriteBack),
+    Fill(u64, Option<LineData>),
+}
+
+/// A [`MemoryReader`] that logs every fill and its answer.
+struct Logged<'a, M: MemoryReader + ?Sized> {
+    memory: &'a mut M,
+    steps: &'a mut Vec<Step>,
+}
+
+impl<M: MemoryReader + ?Sized> MemoryReader for Logged<'_, M> {
+    fn read_line(&mut self, line_addr: u64) -> Option<LineData> {
+        let answer = self.memory.read_line(line_addr);
+        self.steps.push(Step::Fill(line_addr, answer));
+        answer
+    }
+}
+
+/// A [`TraceSource`] whose fills are logged as they are answered.
+struct FillSpy<S> {
+    inner: S,
+    steps: Vec<Step>,
+}
+
+impl<S: TraceSource> TraceSource for FillSpy<S> {
+    fn benchmark(&self) -> &str {
+        self.inner.benchmark()
+    }
+
+    fn next_event(&mut self, mem: &mut dyn MemoryReader) -> Option<WriteBack> {
+        let mut logged = Logged {
+            memory: mem,
+            steps: &mut self.steps,
+        };
+        self.inner.next_event(&mut logged)
+    }
+}
+
+fn fills(steps: &[Step]) -> Vec<Option<LineData>> {
+    steps
+        .iter()
+        .filter_map(|step| match step {
+            Step::Fill(_, answer) => Some(*answer),
+            Step::Write(_) => None,
+        })
+        .collect()
+}
+
+/// A worker panic scheduled on a write that directly precedes a fill to
+/// the same row — so the fill, run on the producer's thread, drains and
+/// runs the panicking write itself whenever the worker has not popped it
+/// yet. Either way the quarantine stays on that one shard, the fill
+/// answers `None`, and `admitted == executed + discarded` holds exactly.
+#[test]
+fn fault_in_a_write_drained_by_a_fill_stays_confined() {
+    let (seed, crypt_seed, accesses) = (0xF11D, 23, 20_000);
+    let cfg = pcm_config(seed);
+    // A hot set beyond the 256 KiB L2: lines keep cycling out to memory
+    // and back, so fills keep finding written lines.
+    let churn = BenchmarkProfile::new(
+        "churn",
+        4 << 20,
+        0.6,
+        0.9,
+        1 << 20,
+        0.0,
+        64,
+        ValueStyle::Random,
+        10.0,
+        10.0,
+    );
+    let source = || WorkloadSource::new(churn.clone(), accesses, seed);
+
+    // The stream as a sequential replay sees it.
+    let mut sequential = build_pipeline(seed).with_crypt_seed(crypt_seed);
+    let mut steps = Vec::new();
+    let mut stream = source();
+    loop {
+        let mut logged = Logged {
+            memory: &mut sequential,
+            steps: &mut steps,
+        };
+        let Some(wb) = stream.next_event(&mut logged) else {
+            break;
+        };
+        sequential.write_back(&wb);
+        steps.push(Step::Write(wb));
+    }
+
+    let expected = fills(&steps);
+
+    // The first written-line fill right behind a write to the same shard;
+    // the panic fires on that write (its ordinal among its row's writes).
+    let victim = |shards: u64| {
+        let shard = |addr: u64| cfg.row_of_byte_addr(addr) % shards;
+        steps.windows(2).enumerate().find_map(|(i, pair)| match pair {
+            [Step::Write(wb), Step::Fill(addr, Some(_))] if shard(wb.line_addr) == shard(*addr) => {
+                let row = cfg.row_of_byte_addr(wb.line_addr);
+                let earlier = steps[..i].iter().filter(
+                    |step| matches!(step, Step::Write(w) if cfg.row_of_byte_addr(w.line_addr) == row),
+                );
+                Some((row, earlier.count() as u64, fills(&steps[..=i]).len()))
+            }
+            _ => None,
+        })
+    };
+
+    for shards in [1usize, 2, 8] {
+        let (victim_row, ordinal, fill) =
+            victim(shards as u64).expect("some fill directly follows a write to its shard");
+        let plan = FaultPlan::new(3).with_worker_panic(victim_row, ordinal);
+        let mut engine = engine_with(shards, seed, crypt_seed);
+        engine.inject_faults(&plan, RecoveryPolicy::none());
+        let mut spy = FillSpy {
+            inner: source(),
+            steps: Vec::new(),
+        };
+        let summary = engine.stream_replay(&mut spy);
+
+        let answers = fills(&spy.steps);
+        assert_eq!(answers[..fill], expected[..fill], "shards={shards}");
+        assert_eq!(
+            answers[fill], None,
+            "the fill behind the fault (shards={shards})"
+        );
+        assert_eq!(
+            engine.quarantined_shards(),
+            vec![(victim_row % shards as u64) as usize]
+        );
+        assert!(engine
+            .shard_failure((victim_row % shards as u64) as usize)
+            .is_some_and(|message| message.contains("injected worker panic")));
+        assert_eq!(
+            engine.stats().lines_written + summary.events_discarded,
+            summary.events,
+            "admitted == executed + discarded (shards={shards})"
         );
     }
 }

@@ -34,8 +34,9 @@
 //!   [`engine::ShardedEngine::from_factory`] with *unified* keying under
 //!   the tenant's seed, so scheduling order across tenants cannot couple
 //!   their outcomes;
-//! * within a tenant, lanes are FIFO and a producer flushes its pending
-//!   batch for a shard before enqueueing a fill read to that shard, so
+//! * within a tenant, lanes are FIFO, every command of a (shard, tenant)
+//!   cell runs under that cell's lock, and a fill read runs in the cell
+//!   behind the tenant's queued and unflushed batches for that shard, so
 //!   every read observes exactly the writes a sequential replay would have
 //!   applied — the PR-2/PR-5 sharded-equals-sequential contract then
 //!   applies per tenant verbatim (row partitioning plus exact integer-pJ
@@ -100,9 +101,9 @@ pub struct ServiceConfig {
     /// memory bound). Producers block when their lane is full.
     pub queue_capacity: usize,
     /// Producer-side batch size: write-backs destined for the same shard
-    /// are coalesced into one queue command until the batch fills, a fill
-    /// read targets that shard, or the source ends. Must be ≤
-    /// `queue_capacity`.
+    /// are coalesced into one queue command until the batch fills or the
+    /// source ends; a fill read targeting that shard runs the pending batch
+    /// itself, on the producer's thread. Must be ≤ `queue_capacity`.
     pub batch: usize,
     /// Base seed of the service's key-derivation domain; tenant `i` is
     /// keyed with [`tenant_seed`]`(base_seed, i)` unless its

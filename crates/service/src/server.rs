@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use controller::{PipelineStats, RecoveryPolicy, TimingStats, WritePipeline};
-use engine::lanes::{self, Cmd, InFlightGauge, LaneCloser, ReplySlot, ShardMailbox, WorkerGuard};
+use engine::lanes::{self, Cell, InFlightGauge, LaneCloser, ShardMailbox, WorkerGuard};
 use engine::{relock, EngineConfig, ShardedEngine};
 use faultsim::{tenant_plan, FaultLog, FaultPlan};
 use pcm::{LatencySummary, MemoryStats, PcmConfig};
@@ -24,31 +24,35 @@ pub(crate) struct TenantMeta {
     pub(crate) seed: u64,
 }
 
-/// Live statistics for one (shard, tenant) pipeline, updated by the bank
-/// worker after every command it executes. The final report reads the
-/// quiesced pipelines directly; these slots feed the live snapshots and
-/// keep the queue-depth histogram.
+/// Live statistics for one (shard, tenant) pipeline, published under the
+/// cell lock by whichever thread ran the cell's commands: the bank worker
+/// after every command it pops, the tenant's producer after every fill.
+/// The final report reads the quiesced pipelines directly; these slots
+/// feed the live snapshots and keep the queue-depth histogram.
 pub(crate) struct SlotStats {
     pub(crate) pipeline: PipelineStats,
     pub(crate) memory: MemoryStats,
     pub(crate) timing: TimingStats,
     pub(crate) reads: u64,
-    /// `depth_hist[d]` counts pops that found the lane holding `d` events,
-    /// for `d` in `0..=capacity`; the final slot (`capacity + 1`) is an
+    /// `depth_hist[d]` counts consumer visits that found the lane holding
+    /// `d` events, for `d` in `0..=capacity`: one sample per command the
+    /// bank worker pops, and one per fill whose drain found the lane
+    /// non-empty (sampled at the drain's start; a fill that finds the lane
+    /// empty takes no sample). The final slot (`capacity + 1`) is an
     /// explicit overflow bucket, so out-of-range samples are counted rather
     /// than silently folded into the capacity bucket (which would bias the
     /// p50 low at small capacities).
     pub(crate) depth_hist: Vec<u64>,
-    /// Largest lane depth observed at pop time; `None` until the first pop
-    /// (distinct from a genuine observed maximum of zero).
+    /// Largest lane depth sampled into `depth_hist`; `None` until the first
+    /// sample (distinct from a genuine observed maximum of zero).
     pub(crate) depth_max: Option<usize>,
     /// Injected-fault and recovery counters committed so far.
     pub(crate) faults: FaultLog,
     /// Write events admitted to this (shard, tenant) cell but discarded
     /// because the cell was quarantined.
     pub(crate) discarded: u64,
-    /// Whether this cell's pipeline has been quarantined (its worker caught
-    /// a panic executing one of its commands).
+    /// Whether this cell's pipeline has been quarantined (a panic was
+    /// caught executing one of its commands or reads).
     pub(crate) quarantined: bool,
     /// The caught panic's message, when quarantined.
     pub(crate) failure: Option<String>,
@@ -67,6 +71,31 @@ impl SlotStats {
             discarded: 0,
             quarantined: false,
             failure: None,
+        }
+    }
+
+    /// Publishes `cell`'s state, plus `reads` fill reads and an optional
+    /// lane-depth sample. Called with the cell locked (cell → slot order).
+    fn publish(&mut self, cell: &Cell<'_>, reads: u64, depth: Option<usize>) {
+        let pipeline = cell.pipeline();
+        self.pipeline = *pipeline.stats();
+        self.memory = *pipeline.memory_stats();
+        self.timing = *pipeline.timing_stats();
+        self.faults = pipeline.fault_log();
+        self.reads += reads;
+        self.discarded = cell.discarded;
+        if cell.dead && !self.quarantined {
+            self.quarantined = true;
+            self.failure = cell.failure.clone();
+        }
+        if let Some(depth) = depth {
+            // Depths beyond the lane bound land in the explicit overflow
+            // bucket (the last slot) instead of being clamped into the
+            // capacity bucket.
+            let bucket = depth.min(self.depth_hist.len() - 1);
+            // PANIC-OK: `bucket` is clamped to the overflow slot, the last index.
+            self.depth_hist[bucket] += 1;
+            self.depth_max = Some(self.depth_max.map_or(depth, |m| m.max(depth)));
         }
     }
 }
@@ -89,8 +118,6 @@ pub(crate) struct ProducerProgress {
 pub(crate) struct RunShared {
     /// One mailbox per bank shard, each with one lane per tenant.
     pub(crate) mailboxes: Vec<ShardMailbox>,
-    /// One fill-read rendezvous slot per tenant.
-    pub(crate) replies: Vec<ReplySlot>,
     pub(crate) gauge: InFlightGauge,
     /// Set by [`ServiceHandle::drain`]: producers stop admitting events,
     /// queues flush, the run winds down.
@@ -272,7 +299,6 @@ impl MemoryService {
             mailboxes: (0..shards)
                 .map(|_| ShardMailbox::new(tenant_count, capacity))
                 .collect(),
-            replies: (0..tenant_count).map(|_| ReplySlot::default()).collect(),
             gauge: InFlightGauge::default(),
             drain: AtomicBool::new(false),
             slots: (0..shards)
@@ -291,18 +317,29 @@ impl MemoryService {
         // the report (human observability); every replayed statistic and
         // percentile is cycle-domain and independent of real time.
         let started = Instant::now();
+        // `cells[shard][tenant]`: each pipeline with its quarantine record,
+        // shared by the bank worker and the tenant's producer.
+        let cells: Vec<Vec<Mutex<Cell<'_>>>> = self
+            .pipelines
+            .iter_mut()
+            .map(|row| {
+                row.iter_mut()
+                    .map(|pipeline| Mutex::new(Cell::new(pipeline, false)))
+                    .collect()
+            })
+            .collect();
         std::thread::scope(|scope| {
-            for (shard, row) in self.pipelines.iter_mut().enumerate() {
+            for (shard, row) in cells.iter().enumerate() {
                 let shared = &shared;
                 scope.spawn(move || worker_loop(shard, row, shared));
             }
             let batch = self.config.batch;
             for (tenant, source) in sources.into_iter().enumerate() {
-                let shared = &shared;
+                let (shared, cells) = (&shared, &cells);
                 let mem_config = self.mem_configs[tenant].clone();
                 let cutoff = self.stream_cutoffs[tenant];
                 scope.spawn(move || {
-                    producer_loop(tenant, source, mem_config, batch, cutoff, shared)
+                    producer_loop(tenant, source, mem_config, batch, cutoff, cells, shared)
                 });
             }
             let handle = ServiceHandle {
@@ -314,6 +351,7 @@ impl MemoryService {
             control.run(&handle);
         });
         let wall_secs = started.elapsed().as_secs_f64();
+        drop(cells);
         self.report(&shared, wall_secs)
     }
 
@@ -413,47 +451,21 @@ pub fn hist_percentile(hist: &[u64], pct: u64) -> usize {
     hist.len() - 1
 }
 
-// PANIC-OK: `row` and the shared vectors are sized per-shard/per-tenant by `serve`; a panic here quarantines the bank worker, which is the supervised degradation path.
-fn worker_loop(shard: usize, row: &mut [WritePipeline], shared: &RunShared) {
+fn worker_loop(shard: usize, row: &[Mutex<Cell<'_>>], shared: &RunShared) {
     let mailbox = &shared.mailboxes[shard];
-    let _guard = WorkerGuard {
-        mailbox,
-        replies: &shared.replies,
-    };
+    let _guard = WorkerGuard { mailbox };
     let mut cursor = 0usize;
-    // Per-tenant quarantine flags, kept thread-local so the hot path never
-    // takes a stats lock just to check them (Vec<bool>, not a hash set —
-    // iteration order must stay deterministic; DET01). A quarantine hits
-    // one (shard, tenant) cell only: every other tenant on this shard and
-    // every other shard of this tenant keep full service.
-    let mut dead = vec![false; row.len()];
-    while let Some((t, depth, cmd)) = mailbox.pop_round_robin(&mut cursor, &shared.gauge) {
-        let pipeline = &mut row[t];
-        let done = lanes::execute(pipeline, cmd, &mut dead[t], &shared.replies[t]);
-        let mut slot = relock(&shared.slots[shard][t]);
-        slot.pipeline = *pipeline.stats();
-        slot.memory = *pipeline.memory_stats();
-        slot.timing = *pipeline.timing_stats();
-        slot.faults = pipeline.fault_log();
-        slot.reads += done.reads;
-        slot.discarded += done.discarded;
-        if let Some(message) = done.failure {
-            slot.quarantined = true;
-            slot.failure = Some(message);
-        }
-        // Depths beyond the lane bound land in the explicit overflow
-        // bucket (the last slot) instead of being clamped into the
-        // capacity bucket.
-        let bucket = depth.min(shared.capacity + 1);
-        slot.depth_hist[bucket] += 1;
-        slot.depth_max = Some(slot.depth_max.map_or(depth, |m| m.max(depth)));
+    // A quarantine hits one (shard, tenant) cell only: every other tenant
+    // on this shard and every other shard of this tenant keep full service.
+    while let Some(served) = mailbox.serve_next(&mut cursor, row, &shared.gauge) {
+        relock(&shared.slots[shard][served.lane]).publish(&served.cell, 0, Some(served.depth));
     }
 }
 
 /// A tenant's producer-side state: per-shard pending batches plus the
-/// fill-read path ([`MemoryReader`] routed through the owning shard's lane,
-/// behind every earlier write to that shard).
-struct Producer<'a> {
+/// fill-read path ([`MemoryReader`] run on this thread in the owning
+/// shard's cell, behind every earlier write to that shard).
+struct Producer<'a, 'p> {
     tenant: usize,
     batch: usize,
     shards: usize,
@@ -461,14 +473,24 @@ struct Producer<'a> {
     pending: Vec<Vec<WriteBack>>,
     enqueued: u64,
     fills: u64,
+    /// `cells[shard][tenant]`, as built by `serve`.
+    cells: &'a [Vec<Mutex<Cell<'p>>>],
     shared: &'a RunShared,
 }
 
-impl Producer<'_> {
+impl Producer<'_, '_> {
     /// The bank shard owning a line address under this tenant's memory
     /// geometry — the same `row % shards` routing the engine uses.
     fn shard_of(&self, line_addr: u64) -> usize {
         (self.mem_config.row_of_byte_addr(line_addr) % self.shards as u64) as usize
+    }
+
+    /// Publishes the admission counters for snapshots.
+    // PANIC-OK: tenant ids are dense; `producers` holds one entry per tenant.
+    fn publish_progress(&self) {
+        let mut progress = relock(&self.shared.producers[self.tenant]);
+        progress.enqueued = self.enqueued;
+        progress.fills = self.fills;
     }
 
     fn flush_shard(&mut self, s: usize) {
@@ -476,12 +498,9 @@ impl Producer<'_> {
             return;
         }
         let batch = std::mem::take(&mut self.pending[s]);
-        let n = batch.len() as u64;
-        self.shared.mailboxes[s].push(self.tenant, Cmd::Batch(batch), &self.shared.gauge);
-        self.enqueued += n;
-        let mut progress = relock(&self.shared.producers[self.tenant]);
-        progress.enqueued = self.enqueued;
-        progress.fills = self.fills;
+        self.enqueued += batch.len() as u64;
+        self.shared.mailboxes[s].push(self.tenant, batch, &self.shared.gauge);
+        self.publish_progress();
     }
 
     fn flush_all(&mut self) {
@@ -499,17 +518,28 @@ impl Producer<'_> {
     }
 }
 
-impl MemoryReader for Producer<'_> {
+impl MemoryReader for Producer<'_, '_> {
+    // PANIC-OK: the shard index is row % shard-count and tenant ids are dense; every vector indexed here is sized per shard and per tenant by `serve`.
     fn read_line(&mut self, line_addr: u64) -> Option<LineData> {
         let s = self.shard_of(line_addr);
-        // FIFO lane + flush-before-read: the read observes every earlier
+        let shared = self.shared;
+        // The lane's queued batches, then this shard's unflushed batch, then
+        // the read, all in the cell: the read observes every earlier
         // same-tenant write to this shard, exactly as a sequential replay
         // would (no other tenant can touch this tenant's rows).
-        self.flush_shard(s);
-        self.shared.mailboxes[s].push(self.tenant, Cmd::Read(line_addr), &self.shared.gauge);
-        let answer = self.shared.replies[self.tenant].take();
-        if answer.is_some() {
-            self.fills += 1;
+        let (mut cell, depth) =
+            shared.mailboxes[s].drain_lane(self.tenant, &self.cells[s][self.tenant], &shared.gauge);
+        let pending = &mut self.pending[s];
+        lanes::execute(&mut cell, pending);
+        let answer = lanes::read(&mut cell, line_addr);
+        relock(&shared.slots[s][self.tenant]).publish(&cell, 1, depth);
+        drop(cell);
+        let ran = pending.len() as u64;
+        pending.clear();
+        self.enqueued += ran;
+        self.fills += u64::from(answer.is_some());
+        if ran > 0 {
+            self.publish_progress();
         }
         answer
     }
@@ -521,6 +551,7 @@ fn producer_loop(
     mem_config: PcmConfig,
     batch: usize,
     cutoff: Option<u64>,
+    cells: &[Vec<Mutex<Cell<'_>>>],
     shared: &RunShared,
 ) {
     // DET-OK: wall-clock feeds only the producer's advisory `active_secs`
@@ -540,6 +571,7 @@ fn producer_loop(
         pending: vec![Vec::new(); shards],
         enqueued: 0,
         fills: 0,
+        cells,
         shared,
     };
     let mut admitted = 0u64;
@@ -590,9 +622,9 @@ impl ServiceHandle<'_> {
     }
 
     /// Takes a live, eventually-consistent snapshot: each (shard, tenant)
-    /// cell is internally consistent (the worker publishes it under a
-    /// lock after each command), but cells are read at slightly different
-    /// instants.
+    /// cell is internally consistent (its stats slot is published under a
+    /// lock after each command and each fill), but cells are read at
+    /// slightly different instants.
     pub fn snapshot(&self) -> ServiceSnapshot {
         let mut tenants = Vec::with_capacity(self.tenants.len());
         for (t, meta) in self.tenants.iter().enumerate() {
@@ -605,6 +637,9 @@ impl ServiceHandle<'_> {
             let mut discarded = 0u64;
             let mut quarantined_shards = 0usize;
             for s in 0..self.config.shards {
+                // Mailbox before slot, never both: slots are the last lock
+                // in the cell → mailbox → slot order.
+                queued += self.shared.mailboxes[s].lane_depth(t);
                 let slot = relock(&self.shared.slots[s][t]);
                 pipeline.merge(&slot.pipeline);
                 memory.merge(&slot.memory);
@@ -613,7 +648,6 @@ impl ServiceHandle<'_> {
                 reads += slot.reads;
                 discarded += slot.discarded;
                 quarantined_shards += usize::from(slot.quarantined);
-                queued += self.shared.mailboxes[s].lane_depth(t);
             }
             let progress = *relock(&self.shared.producers[t]);
             tenants.push(TenantSnapshot {
@@ -656,7 +690,8 @@ pub struct TenantSnapshot {
     pub memory_fills: u64,
     /// Whether the tenant's source is exhausted.
     pub source_done: bool,
-    /// Fill reads executed by bank workers.
+    /// Fill reads answered so far, from memory or not. Each runs on the
+    /// tenant's producer thread, in the owning shard's cell.
     pub reads: u64,
     /// Events currently queued across the tenant's lanes.
     pub queued: usize,
@@ -794,7 +829,8 @@ pub struct TenantReport {
     pub enqueued: u64,
     /// Fill reads answered from the tenant's own memory.
     pub memory_fills: u64,
-    /// Fill reads executed by bank workers.
+    /// Fill reads answered, from memory or not. Each ran on the tenant's
+    /// producer thread, in the owning shard's cell.
     pub reads: u64,
     /// Merged pipeline statistics (bit-identical to a solo sequential
     /// replay under the tenant's seed — the determinism contract).
@@ -808,13 +844,14 @@ pub struct TenantReport {
     /// The write-latency percentile row (p50/p99/p99.9 in controller
     /// cycles) summarizing `timing.writes`.
     pub write_latency: LatencySummary,
-    /// Median lane occupancy observed at command pop time.
+    /// Median lane occupancy sampled when a consumer turned to the lane
+    /// (each worker pop and each fill that found the lane non-empty).
     pub queue_depth_p50: usize,
-    /// Pops that found a lane deeper than the configured capacity (the
-    /// overflow bucket of the depth histogram; normally zero).
+    /// Depth samples that found a lane deeper than the configured capacity
+    /// (the overflow bucket of the depth histogram; normally zero).
     pub queue_depth_overflow: u64,
-    /// Maximum lane occupancy observed at command pop time; `None` when no
-    /// command was ever popped (distinct from an observed maximum of 0).
+    /// Maximum lane occupancy sampled like `queue_depth_p50`; `None` when
+    /// no sample was ever taken (distinct from an observed maximum of 0).
     pub queue_depth_max: Option<usize>,
     /// Seconds the tenant's producer was active.
     pub active_secs: f64,

@@ -13,7 +13,7 @@ use service::{CommandLoop, ControlPlane, MemoryService, ServiceConfig, ServiceHa
 use workload::{MemoryReader, TraceSource, WriteBack};
 
 /// A trace source that never ends: a striding write stream over a small
-/// row set, with an occasional fill read to exercise the rendezvous path.
+/// row set, with an occasional fill read to exercise the fill path.
 /// (A cache-simulating `WorkloadSource` cannot play this role — once its
 /// scaled working set fits in the modeled L2 it stops evicting and would
 /// spin forever without yielding; drains are tested against a source that
