@@ -12,35 +12,56 @@
 //! (kernel-gen / candidate-XOR / costing / select) localizes where encode
 //! time goes, mirroring the pipeline stages of the paper's Figure 5 encoder.
 //!
-//! `ENCODER_PATH_FAST=1` shrinks the workload for CI smoke runs. Every run
-//! also emits a `BENCH_encoder.json` snapshot at the workspace root so the
-//! encoder perf trajectory is tracked from PR to PR.
+//! One extra row costs RCC-256 under the lifetime study's objective
+//! (`opt_saw_then_energy`) over destinations with stuck cells, where the
+//! stuck gate and the SAW class are live.
+//!
+//! `ENCODER_PATH_FAST=1` shrinks the workload for CI smoke runs. Every
+//! full run also writes a `BENCH_encoder.json` snapshot at the workspace
+//! root, stamped with the host (CPU model, logical CPUs, rustc version,
+//! commit), so the encoder perf trajectory is tracked from change to
+//! change and numbers from different hosts are not mixed up.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-use coset::cost::{BitFlips, CostFunction, ScalarOnly, WriteEnergy};
+use coset::cost::{opt_saw_then_energy, BitFlips, CostFunction, ScalarOnly, WriteEnergy};
 use coset::kernel::generate_kernels_into;
 use coset::symbol::spread_to_right_digits;
 use coset::{
     Block, EncodeScratch, Encoded, Encoder, Flipcy, Fnw, GeneratorConfig, KernelSet, Rcc,
-    Unencoded, Vcc, WriteContext,
+    StuckBits, Unencoded, Vcc, WriteContext,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vcc_bench::{print_figure, BENCH_SEED};
+use vcc_bench::{host_stamp_json, print_figure, BENCH_SEED};
 
 fn fast_mode() -> bool {
     std::env::var("ENCODER_PATH_FAST").is_ok_and(|v| v == "1")
 }
 
-/// One-shot `encode_line` throughput: ns per 512-bit line.
-fn line_rate_ns(encoder: &dyn Encoder, cost: &dyn CostFunction, iters: usize) -> f64 {
+/// One-shot `encode_line` throughput: ns per 512-bit line. Each of the
+/// line's destination words has each 2-bit cell stuck (at a random symbol)
+/// with probability `stuck_share`.
+fn line_rate_ns(
+    encoder: &dyn Encoder,
+    cost: &dyn CostFunction,
+    stuck_share: f64,
+    iters: usize,
+) -> f64 {
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
     let lines: Vec<[u64; 8]> = (0..64).map(|_| rng.gen()).collect();
     let ctxs: Vec<WriteContext> = (0..8)
-        .map(|_| WriteContext::new(Block::random(&mut rng, 64), 0, encoder.aux_bits()))
+        .map(|_| {
+            let mut stuck = StuckBits::none(64);
+            for cell in 0..32 {
+                if stuck_share > 0.0 && rng.gen_bool(stuck_share) {
+                    stuck.stick_cell(cell, 2, rng.gen_range(0..4u64));
+                }
+            }
+            WriteContext::new(Block::random(&mut rng, 64), 0, encoder.aux_bits()).with_stuck(stuck)
+        })
         .collect();
     let mut scratch = EncodeScratch::new();
     let mut out: Vec<Encoded> = Vec::new();
@@ -58,31 +79,66 @@ fn line_rate_ns(encoder: &dyn Encoder, cost: &dyn CostFunction, iters: usize) ->
     start.elapsed().as_nanos() as f64 / n as f64
 }
 
+/// One headline row: an encoder under an objective and its scalar twin,
+/// over destinations with `stuck_share` of their cells stuck.
+struct Row<'a> {
+    name: &'static str,
+    encoder: Box<dyn Encoder>,
+    cost: &'a dyn CostFunction,
+    scalar: &'a dyn CostFunction,
+    stuck_share: f64,
+}
+
 /// The headline broadcast-vs-scalar comparison plus the JSON snapshot.
 fn headline(iters: usize) {
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
     let energy = WriteEnergy::mlc();
     let scalar_energy = ScalarOnly(WriteEnergy::mlc());
-    let rows: Vec<(&str, Box<dyn Encoder>)> = vec![
-        ("vcc256_generated", Box::new(Vcc::paper_mlc(256))),
-        ("vcc256_stored", Box::new(Vcc::paper_stored(256, &mut rng))),
-        ("rcc256", Box::new(Rcc::random(64, 256, &mut rng))),
-        ("fnw16", Box::new(Fnw::with_sub_block(64, 16))),
-        ("flipcy", Box::new(Flipcy::new(64))),
-        ("unencoded", Box::new(Unencoded::new(64))),
+    let opt_saw = opt_saw_then_energy();
+    let scalar_opt_saw = ScalarOnly(opt_saw_then_energy());
+    let vcc256_stored = Vcc::paper_stored(256, &mut rng);
+    let rcc256 = Rcc::random(64, 256, &mut rng);
+    let energy_row = |name, encoder| Row {
+        name,
+        encoder,
+        cost: &energy,
+        scalar: &scalar_energy,
+        stuck_share: 0.0,
+    };
+    let rows = vec![
+        energy_row("vcc256_generated", Box::new(Vcc::paper_mlc(256))),
+        energy_row("vcc256_stored", Box::new(vcc256_stored)),
+        energy_row("rcc256", Box::new(rcc256.clone())),
+        // The lifetime study's objective over partly stuck destinations.
+        Row {
+            name: "rcc256_opt_saw_stuck",
+            encoder: Box::new(rcc256),
+            cost: &opt_saw,
+            scalar: &scalar_opt_saw,
+            stuck_share: 0.02,
+        },
+        energy_row("fnw16", Box::new(Fnw::with_sub_block(64, 16))),
+        energy_row("flipcy", Box::new(Flipcy::new(64))),
+        energy_row("unencoded", Box::new(Unencoded::new(64))),
     ];
     let mut body = String::new();
-    let mut json = String::from("{\n  \"unit\": \"ns_per_512bit_line\",\n");
+    let mut json = format!(
+        "{{\n  \"host\": {},\n  \"unit\": \"ns_per_512bit_line\",\n  \
+         \"rows\": \"Table-I MLC energy over fault-free destinations; \
+         rcc256_opt_saw_stuck: opt_saw_then_energy with 2% of cells stuck\",\n",
+        host_stamp_json()
+    );
     let mut vcc256_speedup = 0.0f64;
-    for (name, encoder) in &rows {
-        let fast_ns = line_rate_ns(encoder.as_ref(), &energy, iters);
-        let scalar_ns = line_rate_ns(encoder.as_ref(), &scalar_energy, iters);
+    for row in &rows {
+        let name = row.name;
+        let fast_ns = line_rate_ns(row.encoder.as_ref(), row.cost, row.stuck_share, iters);
+        let scalar_ns = line_rate_ns(row.encoder.as_ref(), row.scalar, row.stuck_share, iters);
         let speedup = scalar_ns / fast_ns;
-        if *name == "vcc256_generated" {
+        if name == "vcc256_generated" {
             vcc256_speedup = speedup;
         }
         body.push_str(&format!(
-            "{name:<18} broadcast {fast_ns:>9.0} ns/line  scalar {scalar_ns:>9.0} ns/line  \
+            "{name:<21} broadcast {fast_ns:>9.0} ns/line  scalar {scalar_ns:>9.0} ns/line  \
              ({:>8.0} lines/s, {speedup:>5.2}x)\n",
             1e9 / fast_ns,
         ));
@@ -98,7 +154,7 @@ fn headline(iters: usize) {
         "  \"vcc256_generated_speedup_vs_scalar\": {vcc256_speedup:.2}\n}}\n"
     ));
     print_figure(
-        "Encoder path — broadcast-SWAR coset search vs scalar oracle (512-bit lines, Table-I energy)",
+        "Encoder path — broadcast/bit-sliced coset search vs scalar oracle (512-bit lines)",
         &body,
     );
     // Only full-length runs refresh the checked-in snapshot; smoke runs

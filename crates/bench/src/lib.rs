@@ -31,6 +31,55 @@ pub fn bench_scale() -> Scale {
 /// Seed used by all benches so printed figures are reproducible.
 pub const BENCH_SEED: u64 = 0xBE2C;
 
+/// The host fingerprint stamped into every `BENCH_*.json` snapshot, as a
+/// JSON object: CPU model, logical CPUs, rustc version and the commit the
+/// tree is at, suffixed `-dirty` when tracked files differ from it (`null`
+/// for what cannot be read). Numbers from two different
+/// hosts are not comparable; the stamp says which host a snapshot is from.
+pub fn host_stamp_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        });
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let output = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    let rustc = output("rustc", &["--version"]);
+    // A tree with uncommitted changes is marked: the numbers are then of
+    // the working tree on top of that commit.
+    let commit = output("git", &["rev-parse", "HEAD"]).map(|head| {
+        let clean = output("git", &["status", "--porcelain", "--untracked-files=no"])
+            .is_some_and(|changes| changes.is_empty());
+        if clean {
+            head
+        } else {
+            format!("{head}-dirty")
+        }
+    });
+    let json = |v: Option<String>| match v {
+        Some(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"cpu\": {}, \"nproc\": {nproc}, \"rustc\": {}, \"commit\": {}}}",
+        json(cpu),
+        json(rustc),
+        json(commit)
+    )
+}
+
 /// Prints a figure banner followed by its rendered table.
 pub fn print_figure(title: &str, body: &str) {
     println!();

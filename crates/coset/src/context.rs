@@ -375,6 +375,29 @@ impl CostModel<'_> {
         }
     }
 
+    /// Destination word `w` as `[old, stuck mask, stuck value, mask]`.
+    #[inline(always)]
+    pub(crate) fn dest_word(&self, w: usize) -> [u64; 4] {
+        [
+            self.old[w],
+            self.stuck_mask[w],
+            self.stuck_value[w],
+            self.word_mask(w),
+        ]
+    }
+
+    /// The auxiliary cells as `[old, stuck mask, stuck value, mask]`, the
+    /// mask padded to whole cells as in [`CostModel::aux_cost`].
+    #[inline(always)]
+    pub(crate) fn aux_dest(&self) -> [u64; 4] {
+        [
+            self.aux_old,
+            self.aux_stuck_mask,
+            self.aux_stuck_value,
+            self.aux_mask,
+        ]
+    }
+
     /// Class planes for writing `new` over word `w` of the destination,
     /// covering the word's significant bits.
     #[inline(always)]

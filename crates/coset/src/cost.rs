@@ -23,6 +23,7 @@
 use std::fmt;
 use std::ops::Add;
 
+use crate::context::CostModel;
 use crate::symbol::{CellKind, MLC_RIGHT_DIGITS};
 
 /// Largest per-bit class cost admitted by the fixed-point path. Keeps every
@@ -534,6 +535,387 @@ impl ClassSet {
     ) -> FixedCost {
         let planes = self.planes(new, old, stuck_mask, stuck_value, mask);
         self.plane_cost(&planes, mask)
+    }
+}
+
+/// Largest number of 64-lane words in one chunk of the bit-sliced
+/// candidate search ([`CostModel::search_lanes`]): tables of more than 256
+/// candidates are searched 256 lanes at a time.
+const LANE_CHUNK_MAX_WORDS: usize = 4;
+
+/// Levels of a per-class bit-sliced counter: each counts at most
+/// `2^16 - 1` planes (data bits plus aux bits of one search).
+const COUNTER_LEVELS: usize = 16;
+
+/// Levels of a weighted bit-sliced accumulator: one `u64` fixed-point cost
+/// component.
+const ACC_LEVELS: usize = 64;
+
+/// Candidate-index bit patterns of one 64-lane word: bit `l` of
+/// `INDEX_PATTERNS[j]` is bit `j` of the lane number `l`.
+const INDEX_PATTERNS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Number of 64-lane words per chunk of a transposed candidate table (see
+/// [`CostModel::search_lanes`]): one word for up to 64 candidates (the
+/// lanes past the last candidate stay zero), two for 128, and four
+/// (256 lanes) for every larger table, which is searched chunk by chunk.
+pub fn lane_chunk_words(candidates: usize) -> usize {
+    candidates.div_ceil(64).clamp(1, LANE_CHUNK_MAX_WORDS)
+}
+
+/// Every lane set to `bit` (0 or 1).
+#[inline(always)]
+fn splat<const K: usize>(bit: u64) -> [u64; K] {
+    [0u64.wrapping_sub(bit); K]
+}
+
+/// Per-class bit-sliced (vertical) counters over the lanes of one chunk:
+/// level `j` holds bit `j` of every lane's plane count.
+struct LaneCounters<const K: usize> {
+    levels: [[[u64; K]; COUNTER_LEVELS]; ClassSet::MAX],
+    /// Planes added into `levels` per class so far, which bounds the count
+    /// and so the levels an add can reach.
+    adds: [u32; ClassSet::MAX],
+    /// A plane per class waiting for a partner: planes enter the counter
+    /// two at a time through one full adder at level 0.
+    pending: [Option<[u64; K]>; ClassSet::MAX],
+}
+
+impl<const K: usize> LaneCounters<K> {
+    fn new() -> Self {
+        LaneCounters {
+            levels: [[[0; K]; COUNTER_LEVELS]; ClassSet::MAX],
+            adds: [0; ClassSet::MAX],
+            pending: [None; ClassSet::MAX],
+        }
+    }
+
+    /// Levels in use by class `k`'s counter.
+    #[inline(always)]
+    fn depth(&self, k: usize) -> usize {
+        (u32::BITS - self.adds[k].leading_zeros()) as usize
+    }
+
+    /// Adds one plane to class `k`'s count.
+    #[inline(always)]
+    fn add(&mut self, k: usize, plane: [u64; K]) {
+        let Some(first) = self.pending[k].take() else {
+            self.pending[k] = Some(plane);
+            return;
+        };
+        self.adds[k] += 2;
+        let depth = self.depth(k);
+        let [low, high @ ..] = &mut self.levels[k][..depth] else {
+            unreachable!("two adds need two levels");
+        };
+        let mut carry = [0u64; K];
+        for q in 0..K {
+            let x = low[q] ^ first[q];
+            carry[q] = (low[q] & first[q]) | (x & plane[q]);
+            low[q] = x ^ plane[q];
+        }
+        ripple(high, carry);
+    }
+
+    /// Moves every pending plane into its counter.
+    fn flush(&mut self) {
+        for k in 0..ClassSet::MAX {
+            if let Some(plane) = self.pending[k].take() {
+                self.adds[k] += 1;
+                let depth = self.depth(k);
+                ripple(&mut self.levels[k][..depth], plane);
+            }
+        }
+    }
+
+    /// Counts every class's programmed bits of one field for all lanes at
+    /// once. `new` is the field's data word, `dest` the destination's
+    /// `[old, stuck mask, stuck value, mask]` words, and `row(p)` the lane
+    /// vector XORed onto `new`'s bit `p` (a candidate table row for data,
+    /// the candidate-index bits for the aux field).
+    ///
+    /// Mirrors [`CompiledClass::plane`] with the candidate bit of each lane
+    /// in place of `new`: whatever does not depend on the candidate (the
+    /// stuck gate, the mask, the old/stuck-value selectors) folds into
+    /// per-position constants, and positions whose gate is shut are
+    /// skipped. Classes that differ only in polarity (the two classes of an
+    /// energy objective) share one difference plane per position.
+    #[inline(always)]
+    fn add_field(
+        &mut self,
+        classes: &ClassSet,
+        new: u64,
+        dest: [u64; 4],
+        row: impl Fn(usize) -> [u64; K],
+    ) {
+        let [old, sm, sv, mask] = dest;
+        let compiled = &classes.compiled[..classes.len as usize];
+        let charged =
+            |k: usize| classes.classes[k].primary != 0 || classes.classes[k].secondary != 0;
+        let mut done = [false; ClassSet::MAX];
+        for (k, cc) in compiled.iter().enumerate() {
+            if done[k] || !charged(k) {
+                continue;
+            }
+            // This class and every later one with the same difference and
+            // gate selectors: (class, polarity word, polarity pass-through).
+            // The lane bit of a member's polarity gate is
+            // (row ^ splat(pol bit)) | pass; `e`/`f` are all-zero or
+            // all-one selectors, never both zero.
+            let mut members = [(0usize, 0u64, [0u64; K]); ClassSet::MAX];
+            let mut n = 0;
+            for (m, cm) in compiled.iter().enumerate().skip(k) {
+                let same = (cm.a, cm.b, cm.fold, cm.c, cm.d) == (cc.a, cc.b, cc.fold, cc.c, cc.d);
+                if same && charged(m) {
+                    members[n] = (m, new ^ !cm.e, [cm.e & cm.f; K]);
+                    done[m] = true;
+                    n += 1;
+                }
+            }
+            let members = &members[..n];
+            // Lane bit of the difference plane: row ^ splat(diff bit).
+            let diff = new ^ (old & cc.a) ^ (sv & cc.b);
+            let smf = (sm | (sm >> 1)) & MLC_RIGHT_DIGITS;
+            let smx = (smf & cc.fold) | (sm & !cc.fold);
+            let gate = (smx & cc.c) | (!smx & cc.d);
+            let mut open = gate & mask & ((MLC_RIGHT_DIGITS & cc.fold) | !cc.fold);
+            while open != 0 {
+                let p = open.trailing_zeros() as usize;
+                open &= open - 1;
+                let t = row(p);
+                let kd = splat::<K>((diff >> p) & 1);
+                let mut base = [0u64; K];
+                for q in 0..K {
+                    base[q] = t[q] ^ kd[q];
+                }
+                if cc.fold != 0 {
+                    // MLC: the cell at right digit `p` changes when either
+                    // of its two digits does.
+                    let t1 = row(p + 1);
+                    let kd1 = splat::<K>((diff >> (p + 1)) & 1);
+                    for q in 0..K {
+                        base[q] |= t1[q] ^ kd1[q];
+                    }
+                }
+                for &(m, pol, pass) in members {
+                    let kp = splat::<K>((pol >> p) & 1);
+                    let mut plane = [0u64; K];
+                    for q in 0..K {
+                        plane[q] = base[q] & ((t[q] ^ kp[q]) | pass[q]);
+                    }
+                    self.add(m, plane);
+                }
+            }
+        }
+    }
+
+    /// The lexicographically cheapest lane among `valid`, lowest lane
+    /// first on ties, and its cost. Each cost component is weighted by the
+    /// class units with bit-sliced shift-adds (a component with one class
+    /// is searched on its counter directly: scaling by a positive unit
+    /// keeps the order), then lanes are eliminated most significant level
+    /// first, primary component before secondary.
+    fn select(&self, classes: &ClassSet, valid: [u64; K]) -> (usize, FixedCost) {
+        let mut alive = valid;
+        let components: [fn(&CostClass) -> u64; 2] = [|c| c.primary, |c| c.secondary];
+        for unit_of in components {
+            let mut contributing = 0usize;
+            let mut only = 0usize;
+            for (k, class) in classes.classes().iter().enumerate() {
+                let unit = unit_of(class);
+                if unit != 0 && self.adds[k] != 0 {
+                    contributing += 1;
+                    only = k;
+                }
+            }
+            match contributing {
+                0 => {}
+                1 => eliminate(&mut alive, &self.levels[only][..self.depth(only)]),
+                _ => {
+                    // `bound` is the largest value `acc` can hold so far:
+                    // each shift-add only ripples through its levels.
+                    let mut acc = [[0u64; K]; ACC_LEVELS];
+                    let mut bound = 0u128;
+                    let mut width = 0;
+                    for (k, class) in classes.classes().iter().enumerate() {
+                        let mut unit = unit_of(class);
+                        let counter = &self.levels[k][..self.depth(k)];
+                        while unit != 0 && !counter.is_empty() {
+                            let shift = unit.trailing_zeros() as usize;
+                            unit &= unit - 1;
+                            // SWAR-OK: scalar capacity arithmetic on a
+                            // plain integer (adds < 2^16, shift < 64).
+                            bound += (self.adds[k] as u128) << shift;
+                            width = (u128::BITS - bound.leading_zeros()) as usize;
+                            assert!(width <= ACC_LEVELS, "weighted cost exceeds u64");
+                            add_shifted(&mut acc[..width], counter, shift);
+                        }
+                    }
+                    eliminate(&mut alive, &acc[..width]);
+                }
+            }
+        }
+        let q = alive.iter().position(|&w| w != 0).unwrap_or(0);
+        let l = alive[q].trailing_zeros() as usize % 64;
+        let mut cost = FixedCost::ZERO;
+        for (k, class) in classes.classes().iter().enumerate() {
+            let count = self.levels[k][..self.depth(k)]
+                .iter()
+                .enumerate()
+                .fold(0u64, |n, (j, level)| n | (((level[q] >> l) & 1) << j));
+            // DET-OK: u64 fixed-point — exact integer accumulation.
+            cost.primary += count * class.primary;
+            cost.secondary += count * class.secondary; // DET-OK: u64 add
+        }
+        (q * 64 + l, cost)
+    }
+}
+
+/// Ripple-adds a one-bit plane into the bit-sliced value `levels`, which
+/// has room for the sum.
+#[inline(always)]
+fn ripple<const K: usize>(levels: &mut [[u64; K]], mut carry: [u64; K]) {
+    for level in levels {
+        for (l, c) in level.iter_mut().zip(carry.iter_mut()) {
+            let t = *l & *c;
+            *l ^= *c;
+            *c = t;
+        }
+    }
+}
+
+/// Keeps the lanes of `alive` whose bit-sliced value (`levels`, least
+/// significant first) is minimal: at each level from the top, lanes with a
+/// `1` drop out unless every alive lane has one.
+#[inline(always)]
+fn eliminate<const K: usize>(alive: &mut [u64; K], levels: &[[u64; K]]) {
+    for level in levels.iter().rev() {
+        let mut zeros = [0u64; K];
+        for q in 0..K {
+            zeros[q] = alive[q] & !level[q];
+        }
+        if zeros.iter().any(|&z| z != 0) {
+            *alive = zeros;
+        }
+    }
+}
+
+/// Adds the bit-sliced value `counter << shift` into `acc` with a ripple of
+/// full adders. The caller sizes `acc` to the largest possible sum, so the
+/// final carry is always zero.
+#[inline(always)]
+fn add_shifted<const K: usize>(acc: &mut [[u64; K]], counter: &[[u64; K]], shift: usize) {
+    let mut carry = [0u64; K];
+    for (j, level) in acc.iter_mut().enumerate().skip(shift) {
+        let b = counter.get(j - shift).copied().unwrap_or([0; K]);
+        for q in 0..K {
+            let x = level[q] ^ b[q];
+            let c = (level[q] & b[q]) | (x & carry[q]);
+            level[q] = x ^ carry[q];
+            carry[q] = c;
+        }
+    }
+}
+
+/// Lane vector of candidate-index bit `j` for the chunk whose first lane
+/// is candidate `base` (a multiple of 64).
+#[inline(always)]
+fn index_lanes<const K: usize>(base: u64, j: usize) -> [u64; K] {
+    let mut lanes = [0u64; K];
+    for (q, w) in lanes.iter_mut().enumerate() {
+        *w = match INDEX_PATTERNS.get(j) {
+            Some(&pattern) => pattern,
+            None => 0u64.wrapping_sub(((base + 64 * q as u64) >> j) & 1),
+        };
+    }
+    lanes
+}
+
+impl CostModel<'_> {
+    /// Costs every candidate of a transposed table at once and returns the
+    /// first index with the minimal total cost (data plus the index written
+    /// as aux), with that cost — the winner of a per-candidate scan that
+    /// keeps the first strict minimum.
+    ///
+    /// `lanes` holds `candidates` (a power of two) candidate blocks of
+    /// [`CostModel::bits`] bits, transposed: chunk `c` of
+    /// `64 * K` candidates, with `K = lane_chunk_words(candidates)`, is
+    /// `bits` rows of `K` words, and bit `l` of word `q` of row `p` is bit
+    /// `p` of candidate `64 * (K * c + q) + l`. Lanes past the last
+    /// candidate must be zero.
+    ///
+    /// Per chunk, the search builds each class's programmed-bit plane of
+    /// each open bit position across all lanes with a few word operations
+    /// against splatted destination constants, adds it into a bit-sliced
+    /// per-class counter, and picks the cheapest lane by eliminating lanes
+    /// from the most significant level of the weighted totals down. The
+    /// aux field is costed the same way, as extra positions whose lanes
+    /// hold the candidate-index bits.
+    pub fn search_lanes(
+        &self,
+        data: &[u64],
+        lanes: &[u64],
+        candidates: usize,
+    ) -> (usize, FixedCost) {
+        assert!(
+            candidates.is_power_of_two(),
+            "candidate count must be a power of two"
+        );
+        assert_eq!(data.len(), self.word_count(), "data width mismatch");
+        assert!(
+            self.bits() + 64 < 1 << COUNTER_LEVELS,
+            "block too wide for the lane counters"
+        );
+        match lane_chunk_words(candidates) {
+            1 => self.search_chunks::<1>(data, lanes, candidates),
+            2 => self.search_chunks::<2>(data, lanes, candidates),
+            _ => self.search_chunks::<LANE_CHUNK_MAX_WORDS>(data, lanes, candidates),
+        }
+    }
+
+    fn search_chunks<const K: usize>(
+        &self,
+        data: &[u64],
+        lanes: &[u64],
+        candidates: usize,
+    ) -> (usize, FixedCost) {
+        let bits = self.bits();
+        let chunk_lanes = 64 * K;
+        let (rows, rest) = lanes.as_chunks::<K>();
+        assert!(
+            rest.is_empty() && rows.len() == bits * candidates.div_ceil(chunk_lanes),
+            "lane table does not match the block and candidate count"
+        );
+        let mut valid = [u64::MAX; K];
+        if candidates < 64 {
+            valid[0] = (1u64 << candidates) - 1;
+        }
+        let mut best = (0usize, FixedCost::ZERO);
+        for (c, chunk) in rows.chunks_exact(bits).enumerate() {
+            let base = c * chunk_lanes;
+            let mut counters = LaneCounters::<K>::new();
+            for (w, &new) in data.iter().enumerate() {
+                let word_rows = &chunk[w * 64..];
+                counters.add_field(self.classes(), new, self.dest_word(w), |p| word_rows[p]);
+            }
+            let aux = self.aux_dest();
+            if aux[3] != 0 {
+                counters.add_field(self.classes(), 0, aux, |j| index_lanes::<K>(base as u64, j));
+            }
+            counters.flush();
+            let (lane, cost) = counters.select(self.classes(), valid);
+            if c == 0 || cost.packed() < best.1.packed() {
+                best = (base + lane, cost);
+            }
+        }
+        best
     }
 }
 

@@ -81,6 +81,18 @@
 //!   class planes ([`cost::per_field_popcount`]), and
 //! * pick the cheaper complement form per partition branch-free.
 //!
+//! RCC has no kernel structure to broadcast, so it uses the transposed
+//! form of the same engine, [`CostModel::search_lanes`], to cost **every
+//! candidate at once**: [`Rcc`] stores its cosets bit-sliced (one lane per
+//! candidate, one row of lane words per block bit), each class's
+//! programmed-bit plane of an open bit position is built across all lanes
+//! with a few word operations against splatted destination constants and
+//! added into a bit-sliced per-class counter, the aux field is costed as
+//! extra positions holding the candidate-index bits, and the cheapest lane
+//! is found by eliminating lanes from the most significant level of the
+//! unit-weighted totals down (primary before secondary). Ties go to the
+//! lowest lane, the first index a per-candidate scan would keep.
+//!
 //! Hot-loop costs accumulate in fixed-point [`FixedCost`] (`u64`
 //! primary/secondary, compared as one packed `u128`); `f64` only reappears
 //! at the [`Encoded`] boundary. Every built-in class cost is an integer
@@ -94,7 +106,8 @@
 //! partition widths that break the classes' cell alignment (odd widths
 //! under an MLC objective), generated-kernel blocks wider than one word,
 //! and single-word Flipcy (three candidates never amortize the model
-//! build). The scalar loops are retained verbatim as the reference oracle.
+//! build). RCC takes its scalar loop only for objectives without classes.
+//! The scalar loops are retained verbatim as the reference oracle.
 //!
 //! # Crate layout
 //!

@@ -6,12 +6,26 @@
 //! cheapest; `log2(N)` auxiliary bits record the winning index. RCC is the
 //! quality upper bound that VCC approximates at a fraction of the hardware
 //! cost (Figures 6 and 7).
+//!
+//! Like the paper's encoder hardware, the software encoder costs every
+//! candidate in parallel. [`Rcc::new`] stores the candidates transposed:
+//! for each block bit there is one row of lane words whose bit `i` is
+//! candidate `i`'s bit (256-lane chunks for larger tables, a single
+//! partly used word below 64 candidates). For objectives with transition
+//! classes, [`crate::CostModel::search_lanes`] XORs the data into each
+//! row, counts every class's programmed bits for all lanes in bit-sliced
+//! counters (the aux field enters as extra rows of candidate-index bits),
+//! and returns the first index with the minimal total — the candidate a
+//! scan keeping the first strict minimum would pick. Only the winner is
+//! materialized. Objectives without classes (custom tables, anything
+//! wrapped in [`crate::cost::ScalarOnly`]) run the scalar per-candidate
+//! loop, which is also the oracle the bit-sliced search is tested against.
 
 use rand::Rng;
 
 use crate::block::Block;
 use crate::context::WriteContext;
-use crate::cost::CostFunction;
+use crate::cost::{lane_chunk_words, CostFunction};
 use crate::encoder::{EncodeScratch, Encoded, Encoder};
 
 /// Random coset coding with stored full-length coset candidates.
@@ -33,11 +47,10 @@ use crate::encoder::{EncodeScratch, Encoded, Encoder};
 pub struct Rcc {
     block_bits: usize,
     cosets: Vec<Block>,
-    /// All coset candidates' backing words, flattened contiguously
-    /// (`words_per_block` words per candidate) so the broadcast-SWAR
-    /// candidate loop streams them without per-Block pointer chasing.
-    coset_words: Vec<u64>,
-    words_per_block: usize,
+    /// The candidates transposed for the bit-sliced search (layout in
+    /// [`crate::CostModel::search_lanes`]): one lane per candidate, one
+    /// row of lane words per block bit.
+    lanes: Vec<u64>,
     aux_bits: u32,
 }
 
@@ -62,16 +75,11 @@ impl Rcc {
             assert_eq!(c.len(), block_bits, "coset width mismatch");
         }
         let aux_bits = cosets.len().trailing_zeros();
-        let words_per_block = block_bits.div_ceil(64);
-        let coset_words = cosets
-            .iter()
-            .flat_map(|c| c.words().iter().copied())
-            .collect();
+        let lanes = transpose(block_bits, &cosets);
         Rcc {
             block_bits,
             cosets,
-            coset_words,
-            words_per_block,
+            lanes,
             aux_bits,
         }
     }
@@ -109,6 +117,26 @@ impl Rcc {
     }
 }
 
+/// Transposes candidate blocks into the lane table of
+/// [`crate::CostModel::search_lanes`]: bit `p` of candidate `i` becomes lane
+/// `i % 64` of word `(i / 64) % K` of row `p` in chunk `i / (64 * K)`.
+fn transpose(block_bits: usize, cosets: &[Block]) -> Vec<u64> {
+    let k = lane_chunk_words(cosets.len());
+    let chunk_lanes = 64 * k;
+    let chunks = cosets.len().div_ceil(chunk_lanes);
+    let mut lanes = vec![0u64; chunks * block_bits * k];
+    for (i, coset) in cosets.iter().enumerate() {
+        let (chunk, q) = (i / chunk_lanes, (i % chunk_lanes) / 64);
+        let lane = 1u64 << (i % 64);
+        for (p, bit) in coset.iter_bits().enumerate() {
+            if bit {
+                lanes[(chunk * block_bits + p) * k + q] |= lane;
+            }
+        }
+    }
+    lanes
+}
+
 impl Encoder for Rcc {
     fn name(&self) -> &str {
         "rcc"
@@ -138,36 +166,10 @@ impl Encoder for Rcc {
     ) {
         assert_eq!(data.len(), self.block_bits, "data width mismatch");
         assert_eq!(ctx.data_bits(), self.block_bits, "context width mismatch");
-        // Broadcast-SWAR path: cost every coset candidate word-by-word with
-        // masked popcounts over the transition-class planes — candidate
-        // words are formed on the fly with one XOR each, and only the
-        // winning candidate is ever materialized into a Block.
+        // Bit-sliced path: cost every candidate at once over the transposed
+        // table; only the winning candidate is materialized into a Block.
         if let Some(model) = ctx.cost_model(cost) {
-            let words = data.words();
-            let mut best = crate::cost::FixedCost::ZERO;
-            let mut best_idx = 0usize;
-            let mut found = false;
-            for (i, cws) in self
-                .coset_words
-                .chunks_exact(self.words_per_block)
-                .enumerate()
-            {
-                let mut c = crate::cost::FixedCost::ZERO;
-                for (w, (&dw, &cw)) in words.iter().zip(cws.iter()).enumerate() {
-                    c += model.word_cost(w, dw ^ cw);
-                }
-                // Aux-cost pruning: costs are non-negative, so a candidate
-                // whose data cost alone already loses cannot win.
-                if found && c.packed() >= best.packed() {
-                    continue;
-                }
-                let total = c + model.aux_cost(i as u64);
-                if !found || total.packed() < best.packed() {
-                    best = total;
-                    best_idx = i;
-                    found = true;
-                }
-            }
+            let (best_idx, best) = model.search_lanes(data.words(), &self.lanes, self.cosets.len());
             out.codeword.xor_words_from(data, &self.cosets[best_idx]);
             out.aux = best_idx as u64;
             out.cost = best.to_cost();

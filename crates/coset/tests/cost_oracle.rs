@@ -13,7 +13,8 @@
 //!    encoder running with [`ScalarOnly`], which hides the objective's
 //!    transition classes and forces the retained scalar path — across
 //!    SLC/MLC objectives, stuck-cell incidences {0, 1e-2, 5e-2}, and
-//!    random destination state.
+//!    random destination state. RCC's bit-sliced candidate search gets its
+//!    own sweep over candidate counts, block widths and forced ties.
 //!
 //! Deterministic smoke tests per objective keep one pinned example per
 //! class shape in the suite even if the property sampling shifts.
@@ -368,4 +369,72 @@ fn custom_energy_table_takes_scalar_path() {
     let ctx = WriteContext::new(Block::random(&mut rng, 64), 0, vcc.aux_bits());
     let enc = vcc.encode(&data, &ctx, &custom);
     assert_eq!(vcc.decode(&enc.codeword, enc.aux), data);
+}
+
+/// RCC's bit-sliced search ≡ its scalar route (codeword, aux and cost)
+/// across candidate counts (one lane word with unused lanes, one full
+/// word, several chunks), block widths (a partial word, a full word, a
+/// multi-word block with a partial tail), every class objective, and
+/// stuck data and aux cells.
+#[test]
+fn rcc_lane_search_matches_scalar_oracle() {
+    let mut rng = StdRng::seed_from_u64(0x2CC);
+    let mut scratch = EncodeScratch::new();
+    for n in [2usize, 16, 64, 256, 512] {
+        for bits in [48usize, 64, 160] {
+            let rcc = Rcc::random(bits, n, &mut rng);
+            for incidence in [0.0, 5e-2, 0.3] {
+                for (fast, scalar) in objective_pairs() {
+                    let mlc = fast.name().contains("mlc") || fast.name().contains("saw");
+                    let data = Block::random(&mut rng, bits);
+                    let ctx = random_ctx(&mut rng, bits, rcc.aux_bits(), incidence, mlc);
+                    assert_encoders_match(
+                        &rcc,
+                        &data,
+                        &ctx,
+                        fast.as_ref(),
+                        scalar.as_ref(),
+                        &mut scratch,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Ties go to the first index, as in the scalar scan: duplicate candidates
+/// cost the same when no aux cells are charged, so among repeated cosets
+/// the lowest copy must win, and a table of one repeated coset picks 0.
+#[test]
+fn rcc_lane_search_ties_pick_the_first_index() {
+    let mut rng = StdRng::seed_from_u64(0x71E5);
+    let mut scratch = EncodeScratch::new();
+    for n in [2usize, 64, 512] {
+        let distinct: Vec<Block> = (0..4).map(|_| Block::random(&mut rng, 64)).collect();
+        let repeated = Rcc::new(64, (0..n).map(|i| distinct[i % 4].clone()).collect());
+        let constant = Rcc::new(64, vec![distinct[0].clone(); n]);
+        for incidence in [0.0, 5e-2] {
+            for (fast, scalar) in objective_pairs() {
+                let mlc = fast.name().contains("mlc") || fast.name().contains("saw");
+                let data = Block::random(&mut rng, 64);
+                // No aux cells: every copy of a coset costs the same.
+                let ctx = random_ctx(&mut rng, 64, 0, incidence, mlc);
+                for rcc in [&repeated, &constant] {
+                    assert_encoders_match(
+                        rcc,
+                        &data,
+                        &ctx,
+                        fast.as_ref(),
+                        scalar.as_ref(),
+                        &mut scratch,
+                    );
+                }
+                let mut out = Encoded::placeholder(64);
+                repeated.encode_into(&data, &ctx, fast.as_ref(), &mut scratch, &mut out);
+                assert!(out.aux < 4, "a later copy of a coset won: {}", out.aux);
+                constant.encode_into(&data, &ctx, fast.as_ref(), &mut scratch, &mut out);
+                assert_eq!(out.aux, 0, "a constant table must pick index 0");
+            }
+        }
+    }
 }

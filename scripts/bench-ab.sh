@@ -18,10 +18,14 @@
 # both sides alike.
 #
 # Prints each pair's lines_per_cpu_s, both medians with their quartiles,
-# and how many pairs the head won. Exits non-zero if a run fails, if a run
-# reports `correct: false`, or if any sim_* metric or ok_share differs
-# between the two sides for a seed. Needs no network; writes only under
-# target/ (run outputs: target/ab-runs/).
+# and how many pairs the head won, and appends the same as one JSON line to
+# bench/history.jsonl: both sides' commits and source digests (from
+# run.py's stamp line), the host, the workload, per-pair values, medians,
+# quartiles, wins and the sim check. Exits non-zero if a run fails, if a
+# run reports `correct: false`, or if any sim_* metric or ok_share differs
+# between the two sides for a seed (the history line is written first).
+# Needs no network; writes only under target/ (run outputs, stamp lines
+# included: target/ab-runs/) and to bench/history.jsonl.
 set -euo pipefail
 
 if [[ $# -lt 3 || $# -gt 4 ]]; then
@@ -47,8 +51,7 @@ runs="$root/target/ab-runs/$workload-$(date -u +%Y%m%dT%H%M%SZ)"
 mkdir -p "$runs"
 run() { # <side> <seed>
     CARGO_TARGET_DIR="$root/target/ab-$1-build" python3 "${side_dir[$1]}/crates/perfbench/run.py" \
-        --workload "$workload" --seed "$2" --seconds 25 --trace 0 |
-        tail -n 1 >"$runs/$1-$2.json"
+        --workload "$workload" --seed "$2" --seconds 25 --trace 0 >"$runs/$1-$2.out"
 }
 for ((i = 0; i < pairs; i++)); do
     seed=$((first_seed + i))
@@ -59,18 +62,25 @@ for ((i = 0; i < pairs; i++)); do
     echo "pair $((i + 1))/$pairs seed $seed done (${order[0]} first)" >&2
 done
 
-python3 - "$runs" "$workload" "$first_seed" "$pairs" "$base_rev" <<'EOF'
+python3 - "$runs" "$workload" "$first_seed" "$pairs" "$base_rev" "$root/bench/history.jsonl" <<'EOF'
+import datetime
 import json
+import os
 import statistics
 import sys
 
-runs, workload, first_seed, pairs, base_rev = sys.argv[1:]
+runs, workload, first_seed, pairs, base_rev, history = sys.argv[1:]
 first_seed, pairs = int(first_seed), int(pairs)
+stamps = {}
 
 
 def load(side, seed):
-    with open(f"{runs}/{side}-{seed}.json") as f:
-        result = json.load(f)
+    with open(f"{runs}/{side}-{seed}.out") as f:
+        lines = f.read().splitlines()
+    for line in lines:
+        if line.startswith('{"stamp":'):
+            stamps.setdefault(side, json.loads(line)["stamp"])
+    result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return result["correct"], metrics
 
@@ -84,7 +94,7 @@ def spread(values):
 
 print(f"{workload}: base {base_rev} vs working tree, {pairs} pairs, lines_per_cpu_s")
 print(f"{'seed':>6} {'base':>10} {'head':>10} {'change':>8}")
-base_speed, head_speed, mismatches, wins = [], [], [], 0
+base_speed, head_speed, mismatches, wins, per_pair = [], [], [], 0, []
 for seed in range(first_seed, first_seed + pairs):
     (base_ok, base), (head_ok, head) = load("base", seed), load("head", seed)
     for side, ok in (("base", base_ok), ("head", head_ok)):
@@ -94,6 +104,7 @@ for seed in range(first_seed, first_seed + pairs):
     base_speed.append(b)
     head_speed.append(h)
     wins += h > b
+    per_pair.append({"seed": seed, "base": b, "head": h})
     print(f"{seed:>6} {b:>10.0f} {h:>10.0f} {h / b - 1:>+8.1%}")
     for name in sorted(base):
         if (name.startswith("sim_") or name == "ok_share") and base[name] != head.get(name):
@@ -108,6 +119,39 @@ print(
     f"head won {wins}/{pairs} pairs; median change {h_med / b_med - 1:+.1%}; "
     f"median gap {h_med - b_med:.0f} vs base interquartile spread {b_q3 - b_q1:.0f}"
 )
+
+
+def side(name, values):
+    stamp = stamps.get(name, {})
+    q1, med, q3 = spread(values)
+    return {
+        "commit": stamp.get("commit"),
+        "source_sha256": stamp.get("source_sha256"),
+        "median": med,
+        "q1": q1,
+        "q3": q3,
+    }
+
+
+head_stamp = stamps.get("head", {})
+entry = {
+    "utc": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+    "workload": workload,
+    "metric": "lines_per_cpu_s",
+    "seconds": 25,
+    "host": {k: head_stamp.get(k) for k in ("cpu_model", "nproc", "rustc")},
+    "base_rev": base_rev,
+    "base": side("base", base_speed),
+    "head": side("head", head_speed),
+    "pairs": per_pair,
+    "wins": wins,
+    "median_change": h_med / b_med - 1,
+    "sim_check": "identical" if not mismatches else mismatches,
+}
+os.makedirs(os.path.dirname(history), exist_ok=True)
+with open(history, "a") as f:
+    f.write(json.dumps(entry) + "\n")
+print(f"appended to {history}")
 if mismatches:
     print("incorrect runs or sim_*/ok_share differences:", *mismatches, sep="\n  ")
     sys.exit(1)
